@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .errors import MziLabError, UnsupportedConfiguration
+from .errors import InvalidArgument, MziLabError, UnsupportedConfiguration
 from .optimize import (
     LossKind,
     Scheme,
@@ -162,6 +162,7 @@ def _cmd_point(args):
     scheme = _SCHEMES[args.scheme]
     kind = _RESOURCES[args.resource]
     loss_kind = _LOSS_KINDS[args.loss]
+    benchmark = snl(args.nbar)  # validates nbar before any search runs
     mu = "optimize"
     if args.mu is not None:
         mu = args.mu
@@ -169,7 +170,6 @@ def _cmd_point(args):
         # pin the squeezing fraction at the scheme's lossless optimum
         mu = scheme_sensitivity(scheme, kind, args.nbar, loss_kind.model(0.0)).mu
     point = scheme_sensitivity(scheme, kind, args.nbar, loss_kind.model(args.rate), mu=mu)
-    benchmark = snl(args.nbar)
     row = {
         "scheme": scheme.value,
         "resource": kind.value,
@@ -211,7 +211,11 @@ def _sweep_rows(specs, threads):
 
 
 def _cmd_sweep(args):
-    threads = max(1, int(os.environ.get("MZI_LAB_THREADS", "1")))
+    raw_threads = os.environ.get("MZI_LAB_THREADS", "1")
+    try:
+        threads = max(1, int(raw_threads))
+    except ValueError:
+        raise InvalidArgument(f"MZI_LAB_THREADS must be an integer, got {raw_threads!r}") from None
     if args.figure is not None:
         specs = figure_presets()[args.figure]
     else:
@@ -336,7 +340,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UnsupportedConfiguration as exc:
+    except (InvalidArgument, UnsupportedConfiguration) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MziLabError as exc:

@@ -1,10 +1,17 @@
 """Truncated Fock-basis oracle for cross-checking the Gaussian pipeline.
 
-Everything here is brute force by design: states are density matrices over
-``{|n, m> : n, m < cutoff}``, channels are explicit unitaries or Kraus sums,
-and expectation values are plain operator traces.  The oracle is meant for
-small mean photon numbers where truncation leakage is negligible; it is a
-validator, never a production path.
+Every state is held as a factor ``V`` of shape ``(d, r)``, ``d = cutoff²``,
+with ``rho = V V†``.  A pure state is one column.  Photon loss gives one
+column ``(K_a ⊗ K_b) v`` per column ``v`` and pair of loss Kraus operators;
+columns whose squared norm is below 1e-20 are dropped.  Unitaries act on
+the columns, expectation values are ``sum_cols v† A v``, the Uhlmann
+fidelity is the nuclear norm of the small matrix ``V† W``, and the SLD
+Fisher information comes from an SVD of ``V`` with the exact derivative
+``d rho / d phi = -i [n_a, rho]``.  No ``d × d`` matrix is formed unless a
+caller reads ``FockState.dm``.
+
+The oracle is meant for small mean photon numbers where truncation leakage
+is negligible; it is a validator, never a production path.
 
 Basis convention: ``|n, m>`` maps to flat index ``n * cutoff + m``.
 """
@@ -12,10 +19,10 @@ Basis convention: ``|n, m>`` maps to flat index ``n * cutoff + m``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
 from .errors import CutoffTooSmall, InvalidArgument
@@ -35,51 +42,54 @@ __all__ = [
 ]
 
 _LEAKAGE_BOUND = 1e-8
-_SLD_FLOOR = 1e-12
+#: Factor columns (and, for a state given densely, eigenvalues) with less
+#: weight than this are dropped.
+_DROP = 1e-20
 
 
-@dataclass(frozen=True)
 class FockState:
-    """Two-mode density matrix over a truncated number basis."""
+    """Two-mode state ``rho = V V†`` over a truncated number basis.
 
-    dm: np.ndarray
-    cutoff: int
+    ``FockState(dm, cutoff)`` takes a density matrix; the oracle's own
+    functions build states from a factor with :meth:`from_factor`.  Each of
+    ``dm`` and ``factor`` is computed from the other on first use.
+    """
 
-    def __post_init__(self):
-        dm = np.asarray(self.dm, dtype=complex)
-        d = self.cutoff * self.cutoff
+    def __init__(self, dm, cutoff: int):
+        dm = np.asarray(dm, dtype=complex)
+        d = cutoff * cutoff
         if dm.shape != (d, d):
             raise InvalidArgument(f"expected a {d}x{d} density matrix, got {dm.shape}")
-        object.__setattr__(self, "dm", dm)
+        self.cutoff = cutoff
+        self._dm = dm
+        self._factor = None
 
-    def reduced_a(self):
-        n = self.cutoff
-        return np.einsum("imjm->ij", self.dm.reshape(n, n, n, n))
+    @classmethod
+    def from_factor(cls, factor, cutoff: int) -> FockState:
+        state = cls.__new__(cls)
+        state.cutoff = cutoff
+        state._dm = None
+        state._factor = factor
+        return state
 
-    def reduced_b(self):
-        n = self.cutoff
-        return np.einsum("imin->mn", self.dm.reshape(n, n, n, n))
+    @property
+    def factor(self) -> np.ndarray:
+        """``V`` with ``rho = V V†``, one column per retained component."""
+        if self._factor is None:
+            weights, vecs = np.linalg.eigh(self._dm)
+            keep = weights >= _DROP
+            self._factor = vecs[:, keep] * np.sqrt(weights[keep])
+        return self._factor
+
+    @property
+    def dm(self) -> np.ndarray:
+        """The ``d × d`` density matrix ``V V†``."""
+        if self._dm is None:
+            self._dm = self._factor @ self._factor.conj().T
+        return self._dm
 
 
-# -- single-mode building blocks ----------------------------------------------
-
-
-def annihilation(cutoff):
-    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1)
-
-
-def quadrature_x(cutoff):
-    a = annihilation(cutoff)
-    return (a + a.T) / math.sqrt(2.0)
-
-
-def quadrature_p(cutoff):
-    a = annihilation(cutoff)
-    return -1j * (a - a.T) / math.sqrt(2.0)
-
-
-def parity_matrix(cutoff):
-    return np.diag((-1.0) ** np.arange(cutoff))
+# -- input states ---------------------------------------------------------------
 
 
 def coherent_ket(alpha, cutoff):
@@ -138,28 +148,28 @@ def _input_ket(spec: ResourceSpec, cutoff):
 
 
 def build_fock_input(spec: ResourceSpec, cutoff: int) -> FockState:
-    """Density matrix of the input resource, renormalized after truncation.
+    """The input resource as a one-column factor, renormalized after truncation.
 
     Raises:
         CutoffTooSmall: if more than 1e-8 of the state leaks past the cutoff.
     """
-    ket = _input_ket(spec, cutoff).astype(complex)
-    return FockState(np.outer(ket, ket.conj()), cutoff)
+    # Real until the phase shifter, so the SVD in ``oracle_qfi`` runs in real arithmetic.
+    return FockState.from_factor(_input_ket(spec, cutoff)[:, None], cutoff)
 
 
 # -- channels -------------------------------------------------------------------
 
 
 @lru_cache(maxsize=8)
-def _beam_splitter_unitary(theta, cutoff):
-    """exp(theta (a†b - b†a)) assembled sector by sector.
+def _beam_splitter_blocks(theta, cutoff):
+    """exp(theta (a†b - b†a)) as ``(indices, block)`` pairs, one per sector.
 
     The generator conserves total photon number, so it block-diagonalizes
     over sectors n + m = k; each truncated sector exponentiates to an
-    orthogonal block, keeping the assembled matrix exactly unitary on the
-    truncated space.
+    orthogonal block, keeping the channel exactly unitary on the truncated
+    space.
     """
-    u = np.zeros((cutoff * cutoff, cutoff * cutoff))
+    blocks = []
     for k in range(2 * cutoff - 1):
         ns = np.arange(max(0, k - cutoff + 1), min(cutoff - 1, k) + 1)
         idx = ns * cutoff + (k - ns)
@@ -170,190 +180,162 @@ def _beam_splitter_unitary(theta, cutoff):
             coupling = math.sqrt((ns[i] + 1.0) * (k - ns[i]))
             gen[i + 1, i] = coupling
             gen[i, i + 1] = -coupling
-        u[np.ix_(idx, idx)] = expm(theta * gen) if dim > 1 else 1.0
-    u.setflags(write=False)
+        blocks.append((idx, expm(theta * gen) if dim > 1 else np.ones((1, 1))))
+    return tuple(blocks)
+
+
+def _beam_splitter_unitary(theta, cutoff):
+    """The sector blocks assembled into one ``d × d`` matrix."""
+    u = np.zeros((cutoff * cutoff, cutoff * cutoff))
+    for idx, block in _beam_splitter_blocks(float(theta), cutoff):
+        u[np.ix_(idx, idx)] = block
     return u
 
 
 def apply_beam_splitter(state: FockState, theta: float) -> FockState:
-    u = _beam_splitter_unitary(float(theta), state.cutoff)
-    return FockState(u @ state.dm @ u.T, state.cutoff)
-
-
-def _phase_vector(phi, cutoff):
-    return np.repeat(np.exp(-1j * phi * np.arange(cutoff)), cutoff)
+    v = state.factor
+    out = np.empty_like(v)
+    for idx, block in _beam_splitter_blocks(float(theta), state.cutoff):
+        out[idx] = block @ v[idx]
+    return FockState.from_factor(out, state.cutoff)
 
 
 def apply_phase(state: FockState, phi: float) -> FockState:
     """Phase shifter on mode a: ``|n, m> -> e^{-i n phi} |n, m>``."""
-    ph = _phase_vector(phi, state.cutoff)
-    return FockState(ph[:, None] * state.dm * ph.conj()[None, :], state.cutoff)
+    phases = np.repeat(np.exp(-1j * phi * np.arange(state.cutoff)), state.cutoff)
+    return FockState.from_factor(phases[:, None] * state.factor, state.cutoff)
 
 
-def _loss_kraus(eta, cutoff):
-    """K_k |n> = sqrt(C(n,k) eta^{n-k} (1-eta)^k) |n-k>."""
-    if eta == 1.0:
-        return [np.eye(cutoff)]
-    ns = np.arange(cutoff)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1.0, cutoff))]))
-    ops = []
-    for k in range(cutoff):
-        n = ns[k:]
-        log_binom = log_fact[n] - log_fact[k] - log_fact[n - k]
-        if eta > 0.0:
-            log_eta = (n - k) * math.log(eta)
-        else:
-            log_eta = np.where(n == k, 0.0, -math.inf)
-        amp = np.exp(0.5 * (log_binom + log_eta + k * math.log(1.0 - eta)))
-        op = np.zeros((cutoff, cutoff))
-        op[n - k, n] = amp
-        ops.append(op)
-    return ops
-
-
-def _apply_loss_single_mode(x, kraus_list):
-    """Kraus sum over one mode with its ket/bra axes leading.
-
-    Each loss Kraus operator K_k carries a single band (it shifts photon
-    number down by k), so ``sum_k K_k rho K_k^dagger`` reduces to weighted
-    shifted blocks: ``out[i, j] += amp_k[i] amp_k[j] x[i+k, j+k]``.
-    """
-    n = x.shape[0]
-    out = np.zeros_like(x)
-    for k, op in enumerate(kraus_list):
-        amp = np.diagonal(op[: n - k, k:]) if k else np.diagonal(op)
-        block = x[k:, k:]
-        out[: n - k, : n - k] += amp[:, None, None] * amp[None, :, None] * block
-    return out
+def _loss_amplitudes(eta, cutoff):
+    """``amp[k, i] = <i| K_k |i + k> = sqrt(C(i+k, k) eta^i (1-eta)^k)``, zero past the cutoff."""
+    binom = np.array([[math.comb(i + k, k) for i in range(cutoff)] for k in range(cutoff)], dtype=float)
+    k = np.arange(cutoff)[:, None]
+    i = np.arange(cutoff)[None, :]
+    amp = np.sqrt(binom * eta**i * (1.0 - eta) ** k)
+    return np.where(i + k < cutoff, amp, 0.0)
 
 
 def apply_loss_fock(state: FockState, eta_a: float, eta_b: float) -> FockState:
-    """Per-mode photon loss as an explicit Kraus sum."""
+    """Per-mode photon loss: one factor column per input column and Kraus pair.
+
+    The loss Kraus operator ``K_k`` removes ``k`` photons, so each new
+    column is the old one shifted down by ``(k, l)`` photons and weighted:
+    ``out[i, m] = amp_a[k, i] amp_b[l, m] v[i + k, m + l]``.
+    """
     for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
         if not 0.0 <= eta <= 1.0:
             raise InvalidArgument(f"{name} must lie in [0, 1], got {eta}")
     n = state.cutoff
-    dm4 = state.dm.reshape(n, n, n, n)
-    if eta_a < 1.0:
-        x = dm4.transpose(0, 2, 1, 3).reshape(n, n, n * n)
-        x = _apply_loss_single_mode(x, _loss_kraus(eta_a, n))
-        dm4 = x.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    if eta_b < 1.0:
-        x = dm4.transpose(1, 3, 0, 2).reshape(n, n, n * n)
-        x = _apply_loss_single_mode(x, _loss_kraus(eta_b, n))
-        dm4 = x.reshape(n, n, n, n).transpose(2, 0, 3, 1)
-    return FockState(np.ascontiguousarray(dm4).reshape(n * n, n * n), n)
+    v = state.factor
+    padded = np.zeros((2 * n, 2 * n, v.shape[1]), dtype=v.dtype)
+    padded[:n, :n] = v.reshape(n, n, -1)
+    # shifted[k, l, c, i, m] = v_c[i + k, m + l]
+    shifted = sliding_window_view(padded, (n, n), axis=(0, 1))[:n, :n]
+    amp_a, amp_b = _loss_amplitudes(eta_a, n), _loss_amplitudes(eta_b, n)
+    cols = (amp_a[:, None, None, :, None] * amp_b[None, :, None, None, :] * shifted).reshape(-1, n * n)
+    norms = np.einsum("ij,ij->i", cols.conj(), cols).real
+    return FockState.from_factor(np.ascontiguousarray(cols[norms >= _DROP].T), n)
+
+
+def _state_before_phase(resource: ResourceSpec, loss: LossModel, cutoff: int) -> FockState:
+    state = apply_beam_splitter(build_fock_input(resource, cutoff), math.pi / 4.0)
+    if loss.is_lossless:
+        return state
+    return apply_loss_fock(state, loss.eta_a, loss.eta_b)
 
 
 def fock_output_state(resource: ResourceSpec, phi: float, loss: LossModel, cutoff: int) -> FockState:
     """Full interferometer pipeline in the truncated basis."""
-    n = cutoff
-    u1 = _beam_splitter_unitary(math.pi / 4.0, n)
-    u2 = _beam_splitter_unitary(-math.pi / 4.0, n)
-    ket = u1 @ _input_ket(resource, n)
-    if loss.is_lossless:
-        ket = _phase_vector(phi, n) * ket
-        ket = u2 @ ket
-        return FockState(np.outer(ket, ket.conj()), n)
-    state = FockState(np.outer(ket, ket.conj()), n)
-    state = apply_loss_fock(state, loss.eta_a, loss.eta_b)
-    state = apply_phase(state, phi)
-    return FockState(u2 @ state.dm @ u2.T, n)
+    state = apply_phase(_state_before_phase(resource, loss, cutoff), phi)
+    return apply_beam_splitter(state, -math.pi / 4.0)
 
 
 # -- observables and figures of merit -------------------------------------------
 
 
-def _mode_operator(name, cutoff):
-    x, p = quadrature_x(cutoff), quadrature_p(cutoff)
+def _operator_terms(name, cutoff):
+    """``name`` as a sum of products ``A ⊗ B``, returned as ``[(A, B), ...]``; ``None`` is the identity."""
+    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1)
+    x, p = (a + a.T) / math.sqrt(2.0), -1j * (a - a.T) / math.sqrt(2.0)
+    nmat = np.diag(np.arange(cutoff, dtype=float))
     single = {
-        "parity": parity_matrix(cutoff).astype(complex),
-        "x": x.astype(complex),
+        "parity": np.diag((-1.0) ** np.arange(cutoff)),
+        "x": x,
         "p": p,
-        "x2": (x @ x).astype(complex),
+        "x2": x @ x,
         "p2": p @ p,
-        "x4": np.linalg.matrix_power(x, 4).astype(complex),
+        "x4": np.linalg.matrix_power(x, 4),
         "p4": np.linalg.matrix_power(p, 4),
-        "n": np.diag(np.arange(cutoff, dtype=float)).astype(complex),
+        "n": nmat,
     }
-    eye = np.eye(cutoff)
     if name.endswith("_a") and name[:-2] in single:
-        return np.kron(single[name[:-2]], eye)
+        return [(single[name[:-2]], None)]
     if name.endswith("_b") and name[:-2] in single:
-        return np.kron(eye, single[name[:-2]])
+        return [(None, single[name[:-2]])]
     if name == "xx_ab":
-        return np.kron(x, x).astype(complex)
+        return [(x, x)]
     if name == "pp_ab":
-        return np.kron(p, p)
+        return [(p, p)]
     if name == "x2x2_ab":
-        return np.kron(x @ x, x @ x).astype(complex)
+        return [(x @ x, x @ x)]
     if name == "n_total":
-        nmat = np.diag(np.arange(cutoff, dtype=float))
-        return (np.kron(nmat, eye) + np.kron(eye, nmat)).astype(complex)
+        return [(nmat, None), (None, nmat)]
     raise InvalidArgument(f"unknown operator name {name!r}")
 
 
 def oracle_expectation(state: FockState, op: str) -> float:
-    """Trace of the density matrix against a named operator.
+    """``Tr(rho A) = sum_cols v† A v`` for a named operator ``A``.
 
     Supported names: ``parity_a``, ``x_a``, ``p_a``, ``x2_a``, ``p2_a``,
-    ``x4_a``, ``p4_a`` (likewise ``_b``), ``xx_ab``, ``pp_ab``,
+    ``x4_a``, ``p4_a``, ``n_a`` (likewise ``_b``), ``xx_ab``, ``pp_ab``,
     ``x2x2_ab``, ``n_total``.
     """
-    matrix = _mode_operator(op, state.cutoff)
-    return float(np.real(np.einsum("ij,ji->", state.dm, matrix)))
+    n = state.cutoff
+    v = state.factor
+    r = v.shape[1]
+    total = 0.0
+    for op_a, op_b in _operator_terms(op, n):
+        w = v.reshape(n, n, r)
+        if op_a is not None:
+            w = (op_a @ v.reshape(n, n * r)).reshape(n, n, r)
+        if op_b is not None:
+            w = op_b @ w  # acts on mode b, one mode-a index at a time
+        total += np.vdot(v, w).real
+    return float(total)
 
 
-def oracle_qfi(resource: ResourceSpec, phi: float, loss: LossModel, cutoff: int, dphi=1e-4) -> float:
-    """Fisher information from the symmetric logarithmic derivative.
+def oracle_qfi(resource: ResourceSpec, phi: float, loss: LossModel, cutoff: int) -> float:
+    """Fisher information from the symmetric logarithmic derivative (SLD).
 
-    Eigendecomposes the phase-encoded state, builds the SLD matrix elements
-    ``2 <i|d rho|j> / (p_i + p_j)`` over eigenpairs with ``p_i + p_j``
-    above 1e-12, and returns ``Tr[rho L^2]``.  The derivative is a central
-    difference with step ``dphi``, Richardson-refined with a second pass at
-    ``dphi/2`` (the raw difference has relative bias ``(dn * dphi)^2 / 6``
-    on coherences between Fock layers ``dn`` apart, which matters at large
-    cutoffs).  The beam splitter after the phase shifter is a fixed unitary
-    and cannot change the information, so it is omitted here.
+    With ``rho = sum_k p_k |u_k><u_k|`` from an SVD of the factor and the
+    exact derivative ``d rho / d phi = -i [n_a, rho]``, the SLD information
+    ``2 sum_kl (p_k - p_l)² / (p_k + p_l) |<u_k|n_a|u_l>|²`` equals
+    ``4 Tr(rho n_a²) - 8 sum_kl p_k p_l / (p_k + p_l) |<u_k|n_a|u_l>|²``.
+    The sum runs over the support only, and no term divides by a small
+    eigenvalue.  The phase shifter commutes with ``n_a`` and the beam
+    splitter after it is a fixed unitary, so neither changes the
+    information; it is computed from the state before them, and ``phi``
+    does not change the value.
     """
-    n = cutoff
-    u1 = _beam_splitter_unitary(math.pi / 4.0, n)
-    ket = u1 @ _input_ket(resource, n)
-    state = FockState(np.outer(ket, ket.conj()), n)
-    if not loss.is_lossless:
-        state = apply_loss_fock(state, loss.eta_a, loss.eta_b)
-    rho = apply_phase(state, phi).dm
-
-    probs, vecs = np.linalg.eigh(rho)
-
-    def central_difference(step):
-        plus = _phase_vector(step, n)
-        return (plus[:, None] * rho * plus.conj()[None, :] - plus.conj()[:, None] * rho * plus[None, :]) / (
-            2.0 * step
-        )
-
-    drho = (4.0 * central_difference(dphi / 2.0) - central_difference(dphi)) / 3.0
-    m = vecs.conj().T @ drho @ vecs
-    denom = probs[:, None] + probs[None, :]
-    mask = denom > _SLD_FLOOR
-    return float(np.sum(2.0 * np.abs(m[mask]) ** 2 / denom[mask]))
-
-
-def _matrix_sqrt_psd(matrix):
-    w, v = np.linalg.eigh(matrix)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    v = _state_before_phase(resource, loss, cutoff).factor
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    p = s[s > 0.0] ** 2
+    u = u[:, : len(p)]
+    n_a = np.repeat(np.arange(cutoff, dtype=float), cutoff)
+    g = u.conj().T @ (n_a[:, None] * u)
+    second_moment = (n_a**2) @ np.einsum("ij,ij->i", v.conj(), v).real
+    weights = p[:, None] * p[None, :] / (p[:, None] + p[None, :])
+    return float(4.0 * second_moment - 8.0 * np.sum(weights * np.abs(g) ** 2))
 
 
 def uhlmann_fidelity(s1: FockState, s2: FockState) -> float:
     """Bures fidelity ``Tr sqrt(sqrt(rho) sigma sqrt(rho))`` (amplitude convention).
 
-    Computed as the nuclear norm of ``sqrt(rho) sqrt(sigma)``.  The full
-    SVD is kept deliberately: the many near-zero singular values still
-    carry a few parts in 1e7 of the trace for lossy states, which matters
-    at the agreement levels the oracle is used for.
+    Computed as the nuclear norm of ``V† W`` for ``rho = V V†`` and
+    ``sigma = W W†``: that small matrix has the singular values of
+    ``sqrt(rho) sqrt(sigma)``.
     """
     if s1.cutoff != s2.cutoff:
         raise InvalidArgument("states live on different cutoffs")
-    product = _matrix_sqrt_psd(s1.dm) @ _matrix_sqrt_psd(s2.dm)
-    return float(np.sum(np.linalg.svd(product, compute_uv=False)))
+    overlap = s1.factor.conj().T @ s2.factor
+    return float(np.sum(np.linalg.svd(overlap, compute_uv=False)))

@@ -539,9 +539,15 @@ def snl_threshold(
     """Largest loss rate below which the scheme still beats the shot-noise limit.
 
     Scans upward from zero loss (which both guards against multiple
-    crossings and locates the bracket), then bisects to ``tol``.  A scheme
-    already at or above the SNL at zero loss reports ``"no-crossing"``.
+    crossings and locates the bracket), then bisects to ``tol``, or until
+    the bracket's ends are adjacent floats.  A scheme already at or above
+    the SNL at zero loss reports ``"no-crossing"``.
+
+    Raises:
+        InvalidArgument: if ``tol`` is not a finite positive number.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidArgument(f"tol must be a finite number > 0, got {tol}")
     target = snl(nbar)
     fixed_mu = None
     if resource_kind is ResourceKind.CSV and not optimize_mu:
@@ -586,8 +592,10 @@ def snl_threshold(
             return ThresholdResult(math.nan, (lo, 1.0), iterations, "no-crossing")
 
     while hi - lo > tol:
-        iterations += 1
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
+        iterations += 1
         if gap(mid) >= 0.0:
             hi = mid
         else:
@@ -665,23 +673,33 @@ def _sweep_chunk(spec: SweepSpec, values):
         else:
             nbar, loss_rate = float(value), spec.loss_rate
         loss = spec.loss_kind.model(loss_rate)
-        benchmark = snl(nbar)
         for scheme in spec.schemes:
             for kind in spec.resources:
-                mu = "optimize"
-                mu_seed = None
-                if kind is ResourceKind.CSV and scheme is not Scheme.QFI:
-                    key = (scheme, kind, nbar)
-                    if spec.optimize_mu:
-                        mu_seed = mu_seeds.get((scheme, kind))
-                    else:
-                        if key not in fixed_mus:
-                            lossless = scheme_sensitivity(
-                                scheme, kind, nbar, spec.loss_kind.model(0.0)
-                            )
-                            fixed_mus[key] = lossless.mu
-                        mu = fixed_mus[key]
+                cell = dict(
+                    variable=spec.variable.value,
+                    value=float(value),
+                    scheme=scheme.value,
+                    resource=kind.value,
+                    nbar=nbar,
+                    loss_kind=spec.loss_kind.value,
+                    loss_rate=loss_rate,
+                )
+                benchmark = math.nan
                 try:
+                    benchmark = snl(nbar)
+                    mu = "optimize"
+                    mu_seed = None
+                    if kind is ResourceKind.CSV and scheme is not Scheme.QFI:
+                        key = (scheme, kind, nbar)
+                        if spec.optimize_mu:
+                            mu_seed = mu_seeds.get((scheme, kind))
+                        else:
+                            if key not in fixed_mus:
+                                lossless = scheme_sensitivity(
+                                    scheme, kind, nbar, spec.loss_kind.model(0.0)
+                                )
+                                fixed_mus[key] = lossless.mu
+                            mu = fixed_mus[key]
                     point = scheme_sensitivity(
                         scheme, kind, nbar, loss, mu=mu, mu_tol=1e-3, mu_seed=mu_seed
                     )
@@ -690,13 +708,7 @@ def _sweep_chunk(spec: SweepSpec, values):
                             mu_seeds[(scheme, kind)] = point.mu
                     rows.append(
                         SweepRow(
-                            variable=spec.variable.value,
-                            value=float(value),
-                            scheme=scheme.value,
-                            resource=kind.value,
-                            nbar=nbar,
-                            loss_kind=spec.loss_kind.value,
-                            loss_rate=loss_rate,
+                            **cell,
                             phi_star=point.phi_star,
                             mu=point.mu,
                             delta2phi=point.delta2phi,
@@ -708,13 +720,7 @@ def _sweep_chunk(spec: SweepSpec, values):
                 except MziLabError as exc:
                     rows.append(
                         SweepRow(
-                            variable=spec.variable.value,
-                            value=float(value),
-                            scheme=scheme.value,
-                            resource=kind.value,
-                            nbar=nbar,
-                            loss_kind=spec.loss_kind.value,
-                            loss_rate=loss_rate,
+                            **cell,
                             phi_star=math.nan,
                             mu=math.nan,
                             delta2phi=math.nan,

@@ -3,7 +3,7 @@
 Rebuilds a set of small-photon-number configurations in the truncated
 number basis and compares parities, quadrature moments, fidelities and
 Fisher information against the Gaussian pipeline.  Kept out of the default
-command paths because the brute-force states are slow to build.
+command paths: it is a check on them, not a result.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,12 @@ class TestPoint:
         row_json = json.loads(out_json)
         assert float(row_csv["delta2phi"]) == row_json["delta2phi"]
         assert float(row_csv["mu"]) == row_json["mu"]
+
+    @pytest.mark.parametrize("nbar", ["0", "-1"])
+    def test_non_positive_nbar_is_usage_error(self, capsys, nbar):
+        code = main(["point", "--scheme", "qfi", "--resource", "tmsv", "--nbar", nbar])
+        assert code == 2
+        assert "nbar" in capsys.readouterr().err
 
     def test_fixed_mu_flag(self, capsys):
         _, out = run_cli(
@@ -131,6 +141,30 @@ class TestSweep:
         _, parallel = run_cli(capsys, *args)
         assert serial == parallel
 
+    def test_non_integer_thread_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MZI_LAB_THREADS", "x")
+        code = main(["sweep", "--variable", "loss-rate", "--points", "2", "--scheme", "qfi", "--resource", "tmsv"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "MZI_LAB_THREADS" in err
+
+    def test_non_positive_nbar_rows_fail_alone(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "sweep", "--variable", "nbar", "--lo", "-1", "--hi", "1", "--points", "3",
+            "--scheme", "qfi", "--resource", "tmsv",
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert [row["status"] for row in rows] == ["InvalidArgument", "InvalidArgument", "ok"]
+        assert [row["snl"] for row in rows[:2]] == ["nan", "nan"]
+        _, single = run_cli(
+            capsys,
+            "sweep", "--variable", "nbar", "--lo", "1", "--hi", "2", "--points", "2",
+            "--scheme", "qfi", "--resource", "tmsv",
+        )
+        assert out.splitlines()[3] == single.splitlines()[1]
+
 
 class TestThreshold:
     def test_qfi_tmsv_symmetric(self, capsys):
@@ -154,6 +188,20 @@ class TestThreshold:
         row = parse_csv(out)[0]
         assert row["status"] == "no-crossing"
         assert row["loss_rate"] == "nan"
+
+    def test_zero_tolerance_returns_promptly(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mzi_lab.cli", "threshold", "--scheme", "qfi", "--resource", "tmsv", "--tol", "0"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: tol") and proc.stderr.count("\n") == 1
 
 
 class TestParsing:

@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import sqrtm
 
 from mzi_lab import (
     CutoffTooSmall,
@@ -179,3 +183,75 @@ class TestOracleExpectation:
         state = fock.build_fock_input(ResourceSpec.coherent(0.3), 10)
         with pytest.raises(InvalidArgument):
             fock.oracle_expectation(state, "y_a")
+
+
+# -- dense reference ------------------------------------------------------------
+
+
+def dense_qfi(resource, phi, loss, cutoff, dphi=1e-4):
+    """SLD Fisher information of the dense output density matrix.
+
+    Eigendecomposes rho and builds ``2 |<i|d rho|j>|² / (p_i + p_j)`` over
+    eigenpairs with ``p_i + p_j`` above 1e-14; the phase derivative is a
+    central difference at steps ``dphi`` and ``dphi/2``, Richardson-refined.
+    """
+
+    def rho(angle):
+        return fock.fock_output_state(resource, angle, loss, cutoff).dm
+
+    def central_difference(step):
+        return (rho(phi + step) - rho(phi - step)) / (2.0 * step)
+
+    drho = (4.0 * central_difference(dphi / 2.0) - central_difference(dphi)) / 3.0
+    probs, vecs = np.linalg.eigh(rho(phi))
+    m = vecs.conj().T @ drho @ vecs
+    denom = probs[:, None] + probs[None, :]
+    mask = denom > 1e-14
+    return float(np.sum(2.0 * np.abs(m[mask]) ** 2 / denom[mask]))
+
+
+def dense_fidelity(s1, s2):
+    """Nuclear norm of ``sqrtm(rho) sqrtm(sigma)`` from the dense matrices."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sqrtm warns on rank-deficient input
+        product = sqrtm(s1.dm) @ sqrtm(s2.dm)
+    return float(np.sum(np.linalg.svd(product, compute_uv=False)))
+
+
+SMALL_RESOURCES = [
+    ResourceSpec.from_energy(ResourceKind.CSV, 0.05, 0.5),
+    ResourceSpec.from_energy(ResourceKind.TMSV, 0.2),
+    ResourceSpec.from_energy(ResourceKind.COHERENT, 0.3),
+]
+LOSSES = [LossModel.lossless(), LossModel.symmetric(0.8), LossModel.one_arm(0.6)]
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "symmetric", "one-arm"])
+    @pytest.mark.parametrize("resource", SMALL_RESOURCES, ids=lambda spec: spec.kind.value)
+    def test_qfi_and_fidelity(self, resource, loss):
+        cutoff = 12
+        assert fock.oracle_qfi(resource, 0.4, loss, cutoff) == pytest.approx(
+            dense_qfi(resource, 0.4, loss, cutoff), abs=1e-10
+        )
+        s1 = fock.fock_output_state(resource, 0.4, loss, cutoff)
+        s2 = fock.fock_output_state(resource, 0.7, loss, cutoff)
+        assert fock.uhlmann_fidelity(s1, s2) == pytest.approx(dense_fidelity(s1, s2), abs=1e-10)
+
+    def test_dense_state_is_factored_on_demand(self):
+        dense = fock.fock_output_state(SMALL_RESOURCES[0], 0.4, LOSSES[1], 12).dm
+        state = fock.FockState(dense, 12)
+        assert np.abs(state.factor @ state.factor.conj().T - dense).max() < 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    resource=st.sampled_from(SMALL_RESOURCES),
+    eta_a=st.floats(0.0, 1.0),
+    eta_b=st.floats(0.0, 1.0),
+    phi=st.floats(-math.pi, math.pi),
+)
+def test_self_fidelity_and_trace_are_one(resource, eta_a, eta_b, phi):
+    state = fock.fock_output_state(resource, phi, LossModel(eta_a, eta_b), 10)
+    assert fock.uhlmann_fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(state.dm).real == pytest.approx(1.0, abs=1e-12)

@@ -160,6 +160,17 @@ class TestSnlThreshold:
         assert result.status == "no-crossing"
         assert math.isnan(result.loss_rate)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(InvalidArgument):
+            snl_threshold(Scheme.QFI, ResourceKind.TMSV, 10.0, LossKind.SYMMETRIC, tol=tol)
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        result = snl_threshold(Scheme.QFI, ResourceKind.TMSV, 10.0, LossKind.SYMMETRIC, tol=1e-300)
+        lo, hi = result.bracket
+        assert result.status == "crossed"
+        assert hi == math.nextafter(lo, math.inf)
+
 
 class TestRunSweep:
     def test_spec_validation(self):
