@@ -9,6 +9,7 @@ emitted in grid order regardless of how they were computed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -187,27 +188,7 @@ def _cmd_point(args):
 
 
 def _sweep_rows(specs, threads):
-    rows = []
-    for spec in specs:
-        for row in run_sweep(spec, threads=threads):
-            rows.append(
-                {
-                    "variable": row.variable,
-                    "value": row.value,
-                    "scheme": row.scheme,
-                    "resource": row.resource,
-                    "nbar": row.nbar,
-                    "loss_kind": row.loss_kind,
-                    "loss_rate": row.loss_rate,
-                    "phi_star": row.phi_star,
-                    "mu": row.mu,
-                    "delta2phi": row.delta2phi,
-                    "snl": row.snl,
-                    "beats_snl": row.beats_snl,
-                    "status": row.status,
-                }
-            )
-    return rows
+    return [dataclasses.asdict(row) for spec in specs for row in run_sweep(spec, threads=threads)]
 
 
 def _cmd_sweep(args):

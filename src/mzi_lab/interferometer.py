@@ -23,7 +23,6 @@ from .states import (
     apply_symplectic,
     beam_splitter,
     make_input,
-    phase_shifter,
     reduce_to_mode,
 )
 
@@ -83,12 +82,11 @@ def output_state(cfg: InterferometerConfig) -> GaussianState:
     """State at the interferometer output ports.
 
     Applies, in order: the first 50:50 splitter, the loss channel, the
-    phase shifter on mode a, and the second 50:50 splitter.
+    phase shifter on mode a, and the second 50:50 splitter.  This is
+    :func:`output_grid` on a grid of one phase.
     """
-    state = apply_symplectic(make_input(cfg.resource), beam_splitter(math.pi / 4.0))
-    state = apply_loss(state, cfg.loss.eta_a, cfg.loss.eta_b)
-    post = beam_splitter(-math.pi / 4.0) @ phase_shifter(cfg.phi)
-    return apply_symplectic(state, post)
+    covs, means = output_grid(cfg.resource, cfg.loss, [cfg.phi])
+    return GaussianState(covs[0], means[0])
 
 
 def output_mode_a(cfg: InterferometerConfig) -> SingleModeState:
@@ -96,13 +94,8 @@ def output_mode_a(cfg: InterferometerConfig) -> SingleModeState:
     return reduce_to_mode(output_state(cfg), Mode.A)
 
 
-# -- vectorized fast path -----------------------------------------------------
-#
-# The optimizers evaluate the pipeline on dense phase grids; doing that one
-# dataclass at a time is needlessly slow.  The helpers below compute the
-# output covariance/mean for a whole array of phases at once.  They share
-# no logic shortcuts with output_state beyond the (tested) fact that the
-# first splitter and the loss channel do not depend on phi.
+# The first splitter and the loss channel do not depend on phi, so their
+# output is computed once per (resource, loss) and shared by every phase.
 
 
 @lru_cache(maxsize=512)
@@ -114,6 +107,9 @@ def _post_loss_cov_mean(resource: ResourceSpec, loss: LossModel):
 
 def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     """Output covariances and means for an array of phases.
+
+    The only code that composes the interferometer: every scalar entry
+    point is a grid of one phase.
 
     Args:
         resource: input resource.

@@ -3,9 +3,11 @@
 Each observable yields an error ``var(O) / |d<O>/dphi|^2``.  Supported
 observables: parity of output mode a, single quadratures and squared
 quadratures of mode a, and products/sums of one quadrature per output mode.
-All quadrature moments go through the symmetric-ordered moment machinery of
-:mod:`mzi_lab.states`; every observable here involves only mutually
-commuting quadratures, so symmetric ordering equals operator ordering.
+Moments are read off the output covariance and mean, with the fourth-order
+ones from the Gaussian (Isserlis) expansion; every observable here involves
+only mutually commuting quadratures, so symmetric ordering equals operator
+ordering.  One grid kernel evaluates them on arrays of phases; the scalar
+functions are grids of one phase.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateWorkingPoint, InvalidArgument, NumericFailure
-from .interferometer import InterferometerConfig, output_grid, output_mode_a, output_state
-from .states import GaussianState, SingleModeState, apply_symplectic, symmetric_moment
+from .interferometer import InterferometerConfig, output_grid
+from .states import GaussianState, SingleModeState
 
 __all__ = [
     "ObservableKind",
@@ -28,7 +30,6 @@ __all__ = [
     "parity_sensitivity",
     "homodyne_sensitivity",
     "double_hd_csv_sensitivity",
-    "slope_richardson",
 ]
 
 #: Central-difference step for phase slopes.
@@ -106,59 +107,15 @@ def parity_expectation(mode_a: SingleModeState) -> float:
     det = float(np.linalg.det(mode_a.cov))
     if det <= 0.0:
         raise NumericFailure(f"covariance determinant must be positive, got {det}")
-    d = mode_a.mean
-    quad = float(d @ np.linalg.solve(mode_a.cov, d))
-    return math.exp(-quad / 2.0) / (2.0 * math.sqrt(det))
-
-
-def slope_richardson(fn, x, step=SLOPE_STEP):
-    """Richardson-refined central difference of a smooth scalar function."""
-    coarse = (fn(x + step) - fn(x - step)) / (2.0 * step)
-    fine = (fn(x + step / 2.0) - fn(x - step / 2.0)) / step
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _mode_rotation(angle_a, angle_b):
-    """Symplectic rotating each mode so its new X quadrature is X_angle."""
-    out = np.zeros((4, 4))
-    for block, angle in ((0, angle_a), (2, angle_b)):
-        c, s = math.cos(angle), math.sin(angle)
-        out[block, block] = c
-        out[block, block + 1] = s
-        out[block + 1, block] = -s
-        out[block + 1, block + 1] = c
-    return out
+    return float(_grid_parity(mode_a.cov[None], mode_a.mean[None])[0])
 
 
 def signal_and_variance(state: GaussianState, obs: Observable):
-    """Mean and variance of a quadrature-type observable on an output state.
-
-    The state is rotated so the requested quadratures become the X axes and
-    the moments are read off with :func:`symmetric_moment`.
-    """
+    """Mean and variance of a quadrature-type observable on an output state."""
     if obs.kind is ObservableKind.PARITY_A:
         raise InvalidArgument("parity has no quadrature moments; use parity_expectation")
-    rotated = apply_symplectic(state, _mode_rotation(obs.angle_a, obs.angle_b))
-    if obs.kind is ObservableKind.QUADRATURE_A:
-        signal = symmetric_moment(rotated, (0,))
-        variance = symmetric_moment(rotated, (0, 0)) - signal**2
-    elif obs.kind is ObservableKind.QUADRATURE_SQUARED_A:
-        signal = symmetric_moment(rotated, (0, 0))
-        variance = symmetric_moment(rotated, (0, 0, 0, 0)) - signal**2
-    elif obs.kind is ObservableKind.PRODUCT_QUAD_AB:
-        signal = symmetric_moment(rotated, (0, 2))
-        variance = symmetric_moment(rotated, (0, 0, 2, 2)) - signal**2
-    elif obs.kind is ObservableKind.SUM_QUAD_AB:
-        signal = symmetric_moment(rotated, (0,)) + symmetric_moment(rotated, (2,))
-        second = (
-            symmetric_moment(rotated, (0, 0))
-            + 2.0 * symmetric_moment(rotated, (0, 2))
-            + symmetric_moment(rotated, (2, 2))
-        )
-        variance = second - signal**2
-    else:
-        raise InvalidArgument(f"unknown observable kind {obs.kind}")
-    return signal, variance
+    signal, variance = _grid_signal_variance(state.cov[None], state.mean[None], obs)
+    return float(signal[0]), float(variance[0])
 
 
 def _error_from(signal, variance, slope, phi):
@@ -175,22 +132,18 @@ def _error_from(signal, variance, slope, phi):
     )
 
 
+def _sensitivity_at(cfg: InterferometerConfig, obs: Observable) -> SensitivityResult:
+    signal, variance, slope = _signal_variance_slope(cfg.resource, cfg.loss, [cfg.phi], obs)
+    return _error_from(signal[0], variance[0], slope[0], cfg.phi)
+
+
 def parity_sensitivity(cfg: InterferometerConfig) -> SensitivityResult:
     """Phase sensitivity of the parity measurement on output mode a.
 
     Parity squares to the identity, so the variance is ``1 - <Pi>^2``; the
     slope is a Richardson-refined central difference of the expectation.
     """
-
-    def signal_at(phi):
-        return parity_expectation(
-            output_mode_a(InterferometerConfig(cfg.resource, phi, cfg.loss))
-        )
-
-    signal = signal_at(cfg.phi)
-    variance = 1.0 - signal**2
-    slope = slope_richardson(signal_at, cfg.phi)
-    return _error_from(signal, variance, slope, cfg.phi)
+    return _sensitivity_at(cfg, Observable.parity())
 
 
 def homodyne_sensitivity(cfg: InterferometerConfig, obs: Observable) -> SensitivityResult:
@@ -202,14 +155,7 @@ def homodyne_sensitivity(cfg: InterferometerConfig, obs: Observable) -> Sensitiv
     """
     if obs.kind is ObservableKind.PARITY_A:
         raise InvalidArgument("use parity_sensitivity for the parity observable")
-
-    def signal_at(phi):
-        state = output_state(InterferometerConfig(cfg.resource, phi, cfg.loss))
-        return signal_and_variance(state, obs)[0]
-
-    signal, variance = signal_and_variance(output_state(cfg), obs)
-    slope = slope_richardson(signal_at, cfg.phi)
-    return _error_from(signal, variance, slope, cfg.phi)
+    return _sensitivity_at(cfg, obs)
 
 
 def double_hd_csv_sensitivity(
@@ -219,12 +165,7 @@ def double_hd_csv_sensitivity(
     return homodyne_sensitivity(cfg, Observable.quadrature_sum(angle_a, angle_b))
 
 
-# -- vectorized profiles ------------------------------------------------------
-#
-# Grid versions of the signal/variance/sensitivity computations, used by the
-# working-point optimizers.  They evaluate the same formulas as the scalar
-# path above directly on stacked covariances (the test suite pins the two
-# paths against each other).
+# -- the grid kernel ----------------------------------------------------------
 
 
 def _angle_vectors(obs):
@@ -258,9 +199,46 @@ def _grid_signal_variance(covs, means, obs):
 
 def _grid_parity(covs, means):
     dets = np.linalg.det(covs[:, :2, :2])
-    sol = np.linalg.solve(covs[:, :2, :2], means[:, :2, None])[:, :, 0]
+    try:
+        sol = np.linalg.solve(covs[:, :2, :2], means[:, :2, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure("mode-a covariance is singular") from exc
     quad = np.einsum("ni,ni->n", means[:, :2], sol)
     return np.exp(-quad / 2.0) / (2.0 * np.sqrt(dets))
+
+
+def _phase_stencil(resource, loss, phis, values):
+    """Output moments on a phase grid, with a derived quantity and its phase slope.
+
+    The grid and its shifts by ``±h`` and ``±h/2`` (``h = SLOPE_STEP``) go
+    through one :func:`output_grid` call; the slope of ``values(covs,
+    means)`` is the Richardson combination of the two central differences.
+
+    Returns:
+        Tuple ``(covs, means, value, slope)`` on the unshifted grid.
+    """
+    phis = np.asarray(phis, dtype=float)
+    n = phis.shape[0]
+    h = SLOPE_STEP
+    shifts = np.array([0.0, h, -h, h / 2.0, -h / 2.0])
+    covs, means = output_grid(resource, loss, (phis + shifts[:, None]).ravel())
+    v = values(covs, means)
+    center, s_p, s_m, s_hp, s_hm = v.reshape((5, n) + v.shape[1:])
+    coarse = (s_p - s_m) / (2.0 * h)
+    fine = (s_hp - s_hm) / h
+    return covs[:n], means[:n], center, (4.0 * fine - coarse) / 3.0
+
+
+def _signal_variance_slope(resource, loss, phis, obs):
+    if obs.kind is ObservableKind.PARITY_A:
+        _, _, signal, slope = _phase_stencil(resource, loss, phis, _grid_parity)
+        return signal, 1.0 - signal**2, slope
+
+    def signal_of(covs, means):
+        return _grid_signal_variance(covs, means, obs)[0]
+
+    covs, means, signal, slope = _phase_stencil(resource, loss, phis, signal_of)
+    return signal, _grid_signal_variance(covs, means, obs)[1], slope
 
 
 def sensitivity_profile(resource, loss, phis, obs: Observable):
@@ -269,32 +247,9 @@ def sensitivity_profile(resource, loss, phis, obs: Observable):
     Returns an array shaped like ``phis``; blind working points (slope below
     :data:`DEGENERATE_SLOPE`) and negative variances from roundoff map to
     ``inf`` rather than raising, so optimizers can scan freely.
-
-    The center grid and the four slope stencils are evaluated through one
-    stacked pipeline call.
     """
-    phis = np.asarray(phis, dtype=float)
-    n = phis.shape[0]
-    h = SLOPE_STEP
-    stacked = np.concatenate([phis + shift for shift in (0.0, h, -h, h / 2.0, -h / 2.0)])
-    covs, means = output_grid(resource, loss, stacked)
-
-    if obs.kind is ObservableKind.PARITY_A:
-        values = _grid_parity(covs, means)
-    else:
-        values = _grid_signal_variance(covs, means, obs)[0]
-    center, s_p, s_m, s_hp, s_hm = (values[k * n : (k + 1) * n] for k in range(5))
-    if obs.kind is ObservableKind.PARITY_A:
-        signal = center
-        variance = 1.0 - signal**2
-    else:
-        signal = center
-        variance = _grid_signal_variance(covs[:n], means[:n], obs)[1]
-    coarse = (s_p - s_m) / (2.0 * h)
-    fine = (s_hp - s_hm) / h
-    slope = (4.0 * fine - coarse) / 3.0
-
-    out = np.full(phis.shape, np.inf)
+    _, variance, slope = _signal_variance_slope(resource, loss, phis, obs)
+    out = np.full(np.shape(phis), np.inf)
     ok = (np.abs(slope) >= DEGENERATE_SLOPE) & (variance >= 0.0)
     out[ok] = variance[ok] / slope[ok] ** 2
     return out

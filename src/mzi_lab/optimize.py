@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgument, MziLabError, NoOptimum
-from .interferometer import LossModel, output_grid
-from .measurements import SLOPE_STEP, Observable, sensitivity_profile
+from .errors import InvalidArgument, MziLabError, NoOptimum, UnsupportedConfiguration
+from .interferometer import LossModel, output_grid  # noqa: F401 (perfbench's tracing test checks this binding)
+from .measurements import DEGENERATE_SLOPE, Observable, _phase_stencil, sensitivity_profile
 from .qfi import qfi_closed, qfi_numeric, snl
 from .states import ResourceKind, ResourceSpec
 
@@ -221,27 +221,8 @@ def _min_over_phi(resource, loss, obs, coarse=720, tol=1e-5):
     return _refine_minimum(fn, grid[i] - spacing, grid[i] + spacing, tol)
 
 
-def _mean_slope_vector(resource, loss, phis):
-    """d(mean)/dphi on a grid, Richardson-refined central difference."""
-    h = SLOPE_STEP
-    phis = np.asarray(phis, dtype=float)
-    n = phis.shape[0]
-    stacked = np.concatenate([phis + shift for shift in (h, -h, h / 2.0, -h / 2.0)])
-    means = output_grid(resource, loss, stacked)[1]
-    m_p, m_m, m_hp, m_hm = (means[k * n : (k + 1) * n] for k in range(4))
-    coarse = (m_p - m_m) / (2.0 * h)
-    fine = (m_hp - m_hm) / h
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _cov_and_mean_slope(resource, loss, phi):
-    """Output covariance and d(mean)/dphi at one phase via one stacked call."""
-    h = SLOPE_STEP
-    stacked = np.array([phi, phi + h, phi - h, phi + h / 2.0, phi - h / 2.0])
-    covs, means = output_grid(resource, loss, stacked)
-    coarse = (means[1] - means[2]) / (2.0 * h)
-    fine = (means[3] - means[4]) / h
-    return covs[0], (4.0 * fine - coarse) / 3.0
+def _means(covs, means):
+    return means
 
 
 def _angle_grid(n):
@@ -264,7 +245,7 @@ def _sum_quad_objective(cov, dmean):
             + 2.0 * (ca * (c00 * cb + c01 * sb) + sa * (c10 * cb + c11 * sb))
         )
         slope = ca * pa0 + sa * pa1 + cb * pb0 + sb * pb1
-        if abs(slope) < 1e-10:
+        if abs(slope) < DEGENERATE_SLOPE:
             return math.inf
         return variance / (slope * slope)
 
@@ -339,8 +320,7 @@ def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
 def _min_double_hd(resource, loss, coarse_phi=180, coarse_angles=24):
     """Jointly optimize phase and both LO angles for the quadrature-sum scheme."""
     phis = np.linspace(0.0, _TWO_PI, coarse_phi, endpoint=False)
-    covs, _ = output_grid(resource, loss, phis)
-    dmeans = _mean_slope_vector(resource, loss, phis)
+    covs, _, _, dmeans = _phase_stencil(resource, loss, phis, _means)
     _, w = _angle_grid(coarse_angles)
 
     # Sensitivity on the full (phi, theta_a, theta_b) grid in one shot.
@@ -350,7 +330,7 @@ def _min_double_hd(resource, loss, coarse_phi=180, coarse_angles=24):
     variance = va[:, :, None] + vb[:, None, :] + 2.0 * cab
     slope = (dmeans[:, :2] @ w.T)[:, :, None] + (dmeans[:, 2:] @ w.T)[:, None, :]
     values = np.full(variance.shape, np.inf)
-    ok = np.abs(slope) >= 1e-10
+    ok = np.abs(slope) >= DEGENERATE_SLOPE
     values[ok] = variance[ok] / slope[ok] ** 2
     if not np.isfinite(values).any():
         raise NoOptimum("quadrature-sum scheme is blind everywhere on the grid")
@@ -360,9 +340,9 @@ def _min_double_hd(resource, loss, coarse_phi=180, coarse_angles=24):
     state = {"ta": j * angle_spacing, "tb": k * angle_spacing, "warm": False}
 
     def fn(phi):
-        cov, dmean = _cov_and_mean_slope(resource, loss, phi)
+        covs, _, _, dmeans = _phase_stencil(resource, loss, [phi], _means)
         ta, tb, value = _refine_sum_quad_angles(
-            cov, dmean, state["ta"], state["tb"], warm=state["warm"]
+            covs[0], dmeans[0], state["ta"], state["tb"], warm=state["warm"]
         )
         state["ta"], state["tb"], state["warm"] = ta, tb, True
         return value
@@ -398,6 +378,16 @@ def _measurement_optimum(scheme, resource, loss):
     return phi_star, value, None
 
 
+def _fisher_information(resource, loss):
+    """Closed-form Fisher information where one exists, else the fidelity route."""
+    if resource.kind is not ResourceKind.COHERENT:
+        try:
+            return qfi_closed(resource, loss).qfi
+        except UnsupportedConfiguration:
+            pass
+    return qfi_numeric(resource, 0.0, loss).qfi
+
+
 def optimal_csv_ratio(nbar, loss: LossModel, tol=1e-6):
     """Squeezed-vacuum energy fraction maximizing the CSV Fisher information.
 
@@ -409,10 +399,7 @@ def optimal_csv_ratio(nbar, loss: LossModel, tol=1e-6):
 
     def negative_qfi(mu):
         resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, min(max(mu, 0.0), 1.0))
-        try:
-            return -qfi_closed(resource, loss).qfi
-        except MziLabError:
-            return -qfi_numeric(resource, 0.0, loss).qfi
+        return -_fisher_information(resource, loss)
 
     grid = np.linspace(0.0, 1.0, 33)
     values = [negative_qfi(m) for m in grid]
@@ -471,22 +458,15 @@ def scheme_sensitivity(
         whose bound is phase-independent.
     """
     if scheme is Scheme.QFI:
+        mu_value, fisher = math.nan, None
         if resource_kind is ResourceKind.CSV:
             if mu == "optimize":
                 mu_value, fisher = optimal_csv_ratio(nbar, loss)
             else:
                 mu_value = float(mu)
-                fisher = qfi_closed(
-                    ResourceSpec.from_energy(ResourceKind.CSV, nbar, mu_value), loss
-                ).qfi
-            resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, mu_value)
-        else:
-            resource = ResourceSpec.from_energy(resource_kind, nbar)
-            mu_value = math.nan
-            if resource_kind is ResourceKind.TMSV:
-                fisher = qfi_closed(resource, loss).qfi
-            else:
-                fisher = qfi_numeric(resource, 0.0, loss).qfi
+        resource = ResourceSpec.from_energy(resource_kind, nbar, mu_value)
+        if fisher is None:
+            fisher = _fisher_information(resource, loss)
         return SchemePoint(scheme, resource, 1.0 / fisher, math.nan, mu_value)
 
     if resource_kind is ResourceKind.CSV:

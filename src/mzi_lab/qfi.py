@@ -44,7 +44,10 @@ class QfiResult:
 
 
 def _result(qfi, method):
-    return QfiResult(qfi=float(qfi), qcrb=1.0 / float(qfi), method=method)
+    qfi = float(qfi)
+    if not (math.isfinite(qfi) and qfi > 0.0):
+        raise NumericFailure(f"Fisher information must be finite and > 0, got {qfi}")
+    return QfiResult(qfi=qfi, qcrb=1.0 / qfi, method=method)
 
 
 def _is_pure(cov):
@@ -159,28 +162,33 @@ def qfi_closed(resource: ResourceSpec, loss: LossModel) -> QfiResult:
 
     Raises:
         UnsupportedConfiguration: for other resources or loss patterns.
+        NumericFailure: if the formula divides by zero, overflows, or gives
+            no finite positive information (a zero-energy input).
     """
     eta_a, eta_b = loss.eta_a, loss.eta_b
     if resource.kind is ResourceKind.TMSV:
         # After the first splitter a TMSV is a product of two single-mode
         # squeezed vacua and only the phase-arm factor carries information,
         # so loss in arm b cannot change the bound: only eta_a enters.
-        return _result(_qfi_tmsv(resource.s, eta_a), QfiMethod.CLOSED_FORM)
-    if resource.kind is ResourceKind.CSV:
-        if eta_a == eta_b:
-            return _result(
-                _qfi_csv_symmetric(resource.alpha, resource.r, eta_a), QfiMethod.CLOSED_FORM
-            )
-        if eta_b == 1.0:
-            return _result(
-                _qfi_csv_one_arm(resource.alpha, resource.r, eta_a), QfiMethod.CLOSED_FORM
-            )
+        form, args = _qfi_tmsv, (resource.s, eta_a)
+    elif resource.kind is ResourceKind.CSV and eta_a == eta_b:
+        form, args = _qfi_csv_symmetric, (resource.alpha, resource.r, eta_a)
+    elif resource.kind is ResourceKind.CSV and eta_b == 1.0:
+        form, args = _qfi_csv_one_arm, (resource.alpha, resource.r, eta_a)
+    elif resource.kind is ResourceKind.CSV:
         raise UnsupportedConfiguration(f"no CSV closed form for {loss}")
-    raise UnsupportedConfiguration(f"no closed form for resource kind {resource.kind}")
+    else:
+        raise UnsupportedConfiguration(f"no closed form for resource kind {resource.kind}")
+    try:
+        value = form(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # e.g. e^r - 2 eta sinh r rounds to 0 at huge squeezing
+        raise NumericFailure(f"closed-form Fisher information failed: {exc}") from exc
+    return _result(value, QfiMethod.CLOSED_FORM)
 
 
 def snl(nbar: float) -> float:
     """Shot-noise limit ``1/(2 nbar)``, the coherent-state benchmark."""
-    if nbar <= 0.0:
-        raise InvalidArgument(f"nbar must be > 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar > 0.0):
+        raise InvalidArgument(f"nbar must be finite and > 0, got {nbar}")
     return 1.0 / (2.0 * nbar)

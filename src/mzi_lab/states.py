@@ -164,8 +164,8 @@ class ResourceSpec:
         For CSV states ``mu`` is the fraction of the energy carried by the
         squeezed vacuum: ``sinh^2 r = mu*nbar`` and ``alpha^2 = (1-mu)*nbar``.
         """
-        if nbar < 0.0:
-            raise InvalidArgument(f"nbar must be >= 0, got {nbar}")
+        if not (math.isfinite(nbar) and nbar >= 0.0):
+            raise InvalidArgument(f"nbar must be finite and >= 0, got {nbar}")
         if kind is ResourceKind.CSV:
             if mu is None or not 0.0 <= mu <= 1.0:
                 raise InvalidArgument(f"CSV needs a squeezing fraction mu in [0, 1], got {mu}")

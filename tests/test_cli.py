@@ -204,6 +204,43 @@ class TestThreshold:
         assert proc.stderr.startswith("error: tol") and proc.stderr.count("\n") == 1
 
 
+class TestNonFiniteAndHugeEnergy:
+    @pytest.mark.parametrize("nbar", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["point", "--scheme", "parity", "--resource", "csv"],
+            ["point", "--scheme", "single-hd", "--resource", "tmsv"],
+            ["threshold", "--scheme", "qfi", "--resource", "tmsv"],
+        ],
+    )
+    def test_usage_error(self, capsys, command, nbar):
+        code = main(command + ["--nbar", nbar])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "nbar" in captured.err
+
+    @pytest.mark.parametrize("nbar", ["inf", "nan"])
+    def test_sweep_rows_fail_alone(self, capsys, nbar):
+        code, out = run_cli(
+            capsys,
+            "sweep", "--variable", "loss-rate", "--lo", "0", "--hi", "0.2", "--points", "2",
+            "--nbar", nbar, "--scheme", "qfi", "parity", "--resource", "csv", "tmsv",
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 8
+        assert {row["status"] for row in rows} == {"InvalidArgument"}
+        assert {row["snl"] for row in rows} == {"nan"}
+
+    def test_huge_energy_qfi_ends_with_an_exit_code(self, capsys):
+        code = main(["point", "--scheme", "qfi", "--resource", "csv", "--nbar", "1e300"])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestParsing:
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,6 +8,7 @@ from mzi_lab import (
     LossKind,
     LossModel,
     NoOptimum,
+    NumericFailure,
     ResourceKind,
     Scheme,
     SweepSpec,
@@ -116,6 +117,19 @@ class TestSchemeSensitivity:
         # best quadrature readout of a coherent state: variance 1/2,
         # slope^2 at the optimal point alpha^2/2
         assert point.delta2phi == pytest.approx(0.1, rel=1e-6)
+
+    def test_qfi_csv_fixed_mu_reproduces_optimized_point(self):
+        # No closed form covers this loss pattern, so both calls take the
+        # fidelity route.
+        loss = LossModel(0.7, 0.3)
+        optimized = scheme_sensitivity(Scheme.QFI, ResourceKind.CSV, 5.0, loss)
+        fixed = scheme_sensitivity(Scheme.QFI, ResourceKind.CSV, 5.0, loss, mu=optimized.mu)
+        assert fixed.mu == optimized.mu
+        assert fixed.delta2phi == pytest.approx(optimized.delta2phi, rel=1e-12)
+
+    def test_qfi_zero_energy_is_a_numeric_failure(self):
+        with pytest.raises(NumericFailure):
+            scheme_sensitivity(Scheme.QFI, ResourceKind.TMSV, 0.0, LossModel.symmetric(0.9))
 
     def test_double_hd_without_squeezing_reaches_snl(self):
         # quadrature sum over both ports with optimal angles recovers

@@ -181,3 +181,20 @@ class TestSnl:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidArgument):
             snl(0.0)
+
+    @pytest.mark.parametrize("nbar", [math.inf, math.nan])
+    def test_rejects_non_finite(self, nbar):
+        with pytest.raises(InvalidArgument):
+            snl(nbar)
+
+
+class TestDegenerateFisherInformation:
+    def test_zero_energy_is_a_numeric_failure(self):
+        with pytest.raises(NumericFailure):
+            qfi_closed(ResourceSpec.tmsv(0.0), LossModel.lossless())
+
+    def test_closed_form_division_by_zero_is_a_numeric_failure(self):
+        # e^r - 2 eta sinh r rounds to 0 at this squeezing
+        resource = ResourceSpec.from_energy(ResourceKind.CSV, 1e300, 0.5)
+        with pytest.raises(NumericFailure):
+            qfi_closed(resource, LossModel.lossless())

@@ -57,6 +57,13 @@ class TestConstructors:
         with pytest.raises(InvalidArgument):
             ResourceSpec.tmsv(-1.0)
 
+    @pytest.mark.parametrize("nbar", [math.inf, math.nan])
+    def test_from_energy_rejects_non_finite_energy(self, nbar):
+        # mu as a numpy float, as the optimizers' grids pass it
+        for kind, mu in ((ResourceKind.CSV, np.float64(1.0)), (ResourceKind.TMSV, None), (ResourceKind.COHERENT, None)):
+            with pytest.raises(InvalidArgument):
+                ResourceSpec.from_energy(kind, nbar, mu)
+
     def test_from_energy_roundtrip(self):
         for kind, mu in ((ResourceKind.CSV, 0.37), (ResourceKind.TMSV, None), (ResourceKind.COHERENT, None)):
             spec = ResourceSpec.from_energy(kind, 8.5, mu)
