@@ -19,8 +19,10 @@ from .errors import InvalidArgument, MziLabError, UnsupportedConfiguration
 from .optimize import (
     LossKind,
     Scheme,
+    SweepRow,
     SweepSpec,
     SweepVariable,
+    _chain,
     run_sweep,
     scheme_sensitivity,
     snl_threshold,
@@ -32,19 +34,8 @@ _SCHEMES = {s.value: s for s in Scheme}
 _RESOURCES = {k.value: k for k in ResourceKind}
 _LOSS_KINDS = {"symmetric": LossKind.SYMMETRIC, "one-arm": LossKind.ONE_ARM}
 
-_POINT_FIELDS = (
-    "scheme",
-    "resource",
-    "nbar",
-    "loss_kind",
-    "loss_rate",
-    "phi_star",
-    "mu",
-    "delta2phi",
-    "snl",
-    "beats_snl",
-)
-_SWEEP_FIELDS = ("variable", "value") + _POINT_FIELDS + ("status",)
+_SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(SweepRow))
+_POINT_FIELDS = _SWEEP_FIELDS[2:-1]  # a sweep row without variable, value and status
 _THRESHOLD_FIELDS = (
     "scheme",
     "resource",
@@ -69,10 +60,10 @@ def _fmt(value):
 
 
 def _json_value(value):
-    if isinstance(value, float) and not math.isnan(value):
+    if isinstance(value, float) and math.isfinite(value):
         return float(f"{value:.11e}")
     if isinstance(value, float):
-        return None  # NaN is not valid JSON
+        return None  # NaN and infinities are not valid JSON
     return value
 
 
@@ -164,13 +155,11 @@ def _cmd_point(args):
     kind = _RESOURCES[args.resource]
     loss_kind = _LOSS_KINDS[args.loss]
     benchmark = snl(args.nbar)  # validates nbar before any search runs
-    mu = "optimize"
+    loss = loss_kind.model(args.rate)
     if args.mu is not None:
-        mu = args.mu
-    elif args.fixed_mu and kind is ResourceKind.CSV and scheme is not Scheme.QFI:
-        # pin the squeezing fraction at the scheme's lossless optimum
-        mu = scheme_sensitivity(scheme, kind, args.nbar, loss_kind.model(0.0)).mu
-    point = scheme_sensitivity(scheme, kind, args.nbar, loss_kind.model(args.rate), mu=mu)
+        point = scheme_sensitivity(scheme, kind, args.nbar, loss, mu=args.mu)
+    else:
+        point = _chain(scheme, kind, optimize_mu=not args.fixed_mu)(args.nbar, loss)
     row = {
         "scheme": scheme.value,
         "resource": kind.value,

@@ -128,7 +128,7 @@ def _fit_parabola(fn, x0, h):
     return x0 + t * h, max(value, 0.0), alpha
 
 
-def _parabola_polish(fn, x0, f0, step=_POLISH_STEP):
+def _parabola_polish(fn, x0, f0):
     """Refine a converged minimum by fitting parabolas next to it.
 
     The first fit uses the default stencil; if the fitted quadratic region
@@ -139,7 +139,7 @@ def _parabola_polish(fn, x0, f0, step=_POLISH_STEP):
     stencil safely conditioned.
     """
     best_x, best_f = x0, f0
-    h = step
+    h = _POLISH_STEP
     for _ in range(3):
         fit = _fit_parabola(fn, best_x, h)
         if fit is None:
@@ -151,18 +151,18 @@ def _parabola_polish(fn, x0, f0, step=_POLISH_STEP):
         if best_f <= 0.0:
             break
         quad_halfwidth = h * math.sqrt(best_f / alpha)
-        h_next = min(max(quad_halfwidth / 50.0, 5e-6), step)
+        h_next = min(max(quad_halfwidth / 50.0, 5e-6), _POLISH_STEP)
         if h_next >= 0.8 * h:
             break
         h = h_next
     return best_x, best_f
 
 
-def _refine_minimum(fn, lo, hi, tol=1e-8, polish_step=_POLISH_STEP):
+def _refine_minimum(fn, lo, hi, tol=1e-8):
     # The polish sets the final accuracy; golden section only needs to land
     # inside the quadratic region of the basin.
     x, f = golden_section(fn, lo, hi, tol)
-    return _parabola_polish(fn, x, f, polish_step)
+    return _parabola_polish(fn, x, f)
 
 
 def optimal_phi(sensitivity_fn, domain=(0.0, _TWO_PI), grid_points=720, tol=1e-8):
@@ -206,9 +206,9 @@ class SchemePoint:
     angles: tuple | None = None
 
 
-def _min_over_phi(resource, loss, obs, coarse=720, tol=1e-5):
-    """Phase-optimized sensitivity of a fixed observable (vectorized scan)."""
-    grid = np.linspace(0.0, _TWO_PI, coarse, endpoint=False)
+def _min_over_phi(resource, loss, obs):
+    """Phase-optimized sensitivity of a fixed observable (720-point scan)."""
+    grid = np.linspace(0.0, _TWO_PI, 720, endpoint=False)
     values = sensitivity_profile(resource, loss, grid, obs)
     if not np.isfinite(values).any():
         raise NoOptimum("observable is blind at every phase on the grid")
@@ -217,17 +217,8 @@ def _min_over_phi(resource, loss, obs, coarse=720, tol=1e-5):
     def fn(phi):
         return float(sensitivity_profile(resource, loss, np.array([phi]), obs)[0])
 
-    spacing = _TWO_PI / coarse
-    return _refine_minimum(fn, grid[i] - spacing, grid[i] + spacing, tol)
-
-
-def _means(covs, means):
-    return means
-
-
-def _angle_grid(n):
-    thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-    return thetas, np.column_stack([np.cos(thetas), np.sin(thetas)])
+    spacing = _TWO_PI / 720
+    return _refine_minimum(fn, grid[i] - spacing, grid[i] + spacing, 1e-5)
 
 
 def _sum_quad_objective(cov, dmean):
@@ -252,14 +243,15 @@ def _sum_quad_objective(cov, dmean):
     return value
 
 
-def _newton_angles(value, ta, tb, step=1e-4, iters=8):
+def _newton_angles(value, ta, tb):
     """Damped Newton on the two-angle objective from a warm start.
 
     Returns ``None`` whenever the local quadratic model is not trustworthy
     (non-convex Hessian, oversized step, non-finite values), in which case
     the caller falls back to the simplex search.
     """
-    for _ in range(iters):
+    step = 1e-4
+    for _ in range(8):
         f0 = value(ta, tb)
         fpa, fma = value(ta + step, tb), value(ta - step, tb)
         fpb, fmb = value(ta, tb + step), value(ta, tb - step)
@@ -317,11 +309,15 @@ def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
     return float(ta), float(tb), float(result.fun)
 
 
-def _min_double_hd(resource, loss, coarse_phi=180, coarse_angles=24):
-    """Jointly optimize phase and both LO angles for the quadrature-sum scheme."""
-    phis = np.linspace(0.0, _TWO_PI, coarse_phi, endpoint=False)
-    covs, _, _, dmeans = _phase_stencil(resource, loss, phis, _means)
-    _, w = _angle_grid(coarse_angles)
+def _min_double_hd(resource, loss):
+    """Jointly optimize phase and both LO angles for the quadrature-sum scheme.
+
+    A 180-phase by 24×24-angle grid locates the basin.
+    """
+    phis = np.linspace(0.0, _TWO_PI, 180, endpoint=False)
+    covs, _, _, dmeans = _phase_stencil(resource, loss, phis, lambda covs, means: means)
+    thetas = np.linspace(0.0, _TWO_PI, 24, endpoint=False)
+    w = np.column_stack([np.cos(thetas), np.sin(thetas)])
 
     # Sensitivity on the full (phi, theta_a, theta_b) grid in one shot.
     va = np.einsum("ui,nij,uj->nu", w, covs[:, :2, :2], w)
@@ -335,19 +331,19 @@ def _min_double_hd(resource, loss, coarse_phi=180, coarse_angles=24):
     if not np.isfinite(values).any():
         raise NoOptimum("quadrature-sum scheme is blind everywhere on the grid")
     i, j, k = np.unravel_index(int(np.argmin(values)), values.shape)
-    angle_spacing = _TWO_PI / coarse_angles
+    angle_spacing = _TWO_PI / 24
 
     state = {"ta": j * angle_spacing, "tb": k * angle_spacing, "warm": False}
 
     def fn(phi):
-        covs, _, _, dmeans = _phase_stencil(resource, loss, [phi], _means)
+        covs, _, _, dmeans = _phase_stencil(resource, loss, [phi], lambda covs, means: means)
         ta, tb, value = _refine_sum_quad_angles(
             covs[0], dmeans[0], state["ta"], state["tb"], warm=state["warm"]
         )
         state["ta"], state["tb"], state["warm"] = ta, tb, True
         return value
 
-    spacing = _TWO_PI / coarse_phi
+    spacing = _TWO_PI / 180
     phi_star, value = _refine_minimum(fn, phis[i] - spacing, phis[i] + spacing, tol=2e-4)
     return phi_star, value, (state["ta"] % _TWO_PI, state["tb"] % _TWO_PI)
 
@@ -492,6 +488,32 @@ def scheme_sensitivity(
     return SchemePoint(scheme, resource, value, phi_star, math.nan, angles)
 
 
+def _chain(scheme, kind, optimize_mu=True, mu_tol=1e-5):
+    """The squeezing-fraction rule for a run of nearby points of one cell.
+
+    Returns ``point(nbar, loss) -> SchemePoint``.  Only a CSV resource has a
+    squeezing fraction.  With ``optimize_mu`` it is searched at every point,
+    warm-started from the previous point's optimum; otherwise it is pinned at
+    the scheme's lossless optimum, computed once per ``nbar``.
+    """
+    last_mu = None
+    pins = {}
+
+    def point(nbar, loss):
+        nonlocal last_mu
+        if kind is not ResourceKind.CSV:
+            return scheme_sensitivity(scheme, kind, nbar, loss)
+        if not optimize_mu:
+            if nbar not in pins:
+                pins[nbar] = scheme_sensitivity(scheme, kind, nbar, LossModel.lossless()).mu
+            return scheme_sensitivity(scheme, kind, nbar, loss, mu=pins[nbar])
+        result = scheme_sensitivity(scheme, kind, nbar, loss, mu_tol=mu_tol, mu_seed=last_mu)
+        last_mu = result.mu
+        return result
+
+    return point
+
+
 # -- SNL thresholds -----------------------------------------------------------
 
 
@@ -521,40 +543,28 @@ def snl_threshold(
     Scans upward from zero loss (which both guards against multiple
     crossings and locates the bracket), then bisects to ``tol``, or until
     the bracket's ends are adjacent floats.  A scheme already at or above
-    the SNL at zero loss reports ``"no-crossing"``.
+    the SNL at zero loss reports ``"no-crossing"``.  A failure to evaluate
+    the scheme at zero loss raises; at any larger loss it counts as not
+    beating the SNL.
 
     Raises:
         InvalidArgument: if ``tol`` is not a finite positive number.
+        MziLabError: if the scheme cannot be evaluated at zero loss.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidArgument(f"tol must be a finite number > 0, got {tol}")
     target = snl(nbar)
-    fixed_mu = None
-    if resource_kind is ResourceKind.CSV and not optimize_mu:
-        lossless = scheme_sensitivity(scheme, resource_kind, nbar, loss_kind.model(0.0))
-        fixed_mu = lossless.mu
-    # Successive bisection points are close, so the previous optimum seeds
-    # the next squeezing-fraction search.
-    seed_box = {"mu": None}
+    # Successive bisection points are close, so one chain carries the
+    # squeezing-fraction optimum from each point to the next.
+    point = _chain(scheme, resource_kind, optimize_mu)
 
     def gap(loss_rate):
-        mu = "optimize" if fixed_mu is None else fixed_mu
         try:
-            point = scheme_sensitivity(
-                scheme,
-                resource_kind,
-                nbar,
-                loss_kind.model(loss_rate),
-                mu=mu,
-                mu_seed=seed_box["mu"],
-            )
+            return point(nbar, loss_kind.model(loss_rate)).delta2phi - target
         except MziLabError:
             return math.inf
-        if mu == "optimize" and resource_kind is ResourceKind.CSV and scheme is not Scheme.QFI:
-            seed_box["mu"] = point.mu
-        return point.delta2phi - target
 
-    if gap(0.0) >= 0.0:
+    if point(nbar, loss_kind.model(0.0)).delta2phi - target >= 0.0:
         return ThresholdResult(math.nan, (0.0, 0.0), 0, "no-crossing")
 
     lo = 0.0
@@ -645,8 +655,11 @@ _SWEEP_CHUNK = 16
 
 def _sweep_chunk(spec: SweepSpec, values):
     rows = []
-    mu_seeds = {}
-    fixed_mus = {}
+    chains = {
+        (scheme, kind): _chain(scheme, kind, spec.optimize_mu, mu_tol=1e-3)
+        for scheme in spec.schemes
+        for kind in spec.resources
+    }
     for value in values:
         if spec.variable is SweepVariable.LOSS_RATE:
             nbar, loss_rate = spec.nbar, float(value)
@@ -655,60 +668,19 @@ def _sweep_chunk(spec: SweepSpec, values):
         loss = spec.loss_kind.model(loss_rate)
         for scheme in spec.schemes:
             for kind in spec.resources:
-                cell = dict(
-                    variable=spec.variable.value,
-                    value=float(value),
-                    scheme=scheme.value,
-                    resource=kind.value,
-                    nbar=nbar,
-                    loss_kind=spec.loss_kind.value,
-                    loss_rate=loss_rate,
-                )
-                benchmark = math.nan
+                benchmark = phi_star = mu = delta2phi = math.nan
+                status = "ok"
                 try:
                     benchmark = snl(nbar)
-                    mu = "optimize"
-                    mu_seed = None
-                    if kind is ResourceKind.CSV and scheme is not Scheme.QFI:
-                        key = (scheme, kind, nbar)
-                        if spec.optimize_mu:
-                            mu_seed = mu_seeds.get((scheme, kind))
-                        else:
-                            if key not in fixed_mus:
-                                lossless = scheme_sensitivity(
-                                    scheme, kind, nbar, spec.loss_kind.model(0.0)
-                                )
-                                fixed_mus[key] = lossless.mu
-                            mu = fixed_mus[key]
-                    point = scheme_sensitivity(
-                        scheme, kind, nbar, loss, mu=mu, mu_tol=1e-3, mu_seed=mu_seed
-                    )
-                    if kind is ResourceKind.CSV and scheme is not Scheme.QFI and spec.optimize_mu:
-                        if mu == "optimize":
-                            mu_seeds[(scheme, kind)] = point.mu
-                    rows.append(
-                        SweepRow(
-                            **cell,
-                            phi_star=point.phi_star,
-                            mu=point.mu,
-                            delta2phi=point.delta2phi,
-                            snl=benchmark,
-                            beats_snl=bool(point.delta2phi < benchmark),
-                            status="ok",
-                        )
-                    )
+                    point = chains[scheme, kind](nbar, loss)
+                    phi_star, mu, delta2phi = point.phi_star, point.mu, point.delta2phi
                 except MziLabError as exc:
-                    rows.append(
-                        SweepRow(
-                            **cell,
-                            phi_star=math.nan,
-                            mu=math.nan,
-                            delta2phi=math.nan,
-                            snl=benchmark,
-                            beats_snl=False,
-                            status=type(exc).__name__,
-                        )
-                    )
+                    status = type(exc).__name__
+                rows.append(SweepRow(
+                    spec.variable.value, float(value), scheme.value, kind.value, nbar,
+                    spec.loss_kind.value, loss_rate, phi_star, mu, delta2phi, benchmark,
+                    bool(delta2phi < benchmark), status,
+                ))
     return rows
 
 

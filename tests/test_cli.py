@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mzi_lab import LossModel, optimal_csv_ratio
 from mzi_lab.cli import build_parser, figure_presets, main
 
 
@@ -87,6 +88,32 @@ class TestPoint:
         )[1]
         assert row["mu"] == parse_csv(lossless)[0]["mu"]
 
+    def test_fixed_mu_is_one_rule_for_point_and_sweep(self, capsys):
+        config = ["--scheme", "single-hd", "--resource", "csv", "--nbar", "4", "--loss", "symmetric"]
+        _, swept = run_cli(capsys, "sweep", "--variable", "loss-rate", "--lo", "0", "--hi", "0.1",
+                           "--points", "2", "--fixed-mu", *config)
+        _, pinned = run_cli(capsys, "point", "--rate", "0.1", "--fixed-mu", *config)
+        _, lossless = run_cli(capsys, "point", "--rate", "0", *config)
+        mus = {row["mu"] for row in parse_csv(swept) + parse_csv(pinned) + parse_csv(lossless)}
+        assert len(mus) == 1
+
+    def test_fixed_mu_pins_the_qfi_csv_ratio(self, capsys):
+        # At nbar = 1 and loss rate 0.5 the lossy optimum (about 0.46) lies
+        # far from the lossless one (about 1), so a per-point search shows.
+        _, out = run_cli(
+            capsys,
+            "point", "--scheme", "qfi", "--resource", "csv", "--nbar", "1", "--rate", "0.5", "--fixed-mu",
+        )
+        assert parse_csv(out)[0]["mu"] == f"{optimal_csv_ratio(1.0, LossModel.lossless())[0]:.11e}"
+
+    def test_explicit_mu_takes_precedence_over_fixed_mu(self, capsys):
+        _, out = run_cli(
+            capsys,
+            "point", "--scheme", "qfi", "--resource", "csv", "--nbar", "1", "--rate", "0.5",
+            "--fixed-mu", "--mu", "0.25",
+        )
+        assert float(parse_csv(out)[0]["mu"]) == 0.25
+
 
 class TestSweep:
     def test_variable_sweep_shape_and_determinism(self, capsys):
@@ -165,6 +192,21 @@ class TestSweep:
         )
         assert out.splitlines()[3] == single.splitlines()[1]
 
+    def test_jsonl_writes_non_finite_values_as_null(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "sweep", "--variable", "loss-rate", "--points", "2", "--nbar", "inf",
+            "--scheme", "qfi", "--resource", "tmsv", "--format", "jsonl",
+        )
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        rows = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+        assert code == 0
+        assert len(rows) == 2
+        assert all(row["nbar"] is None for row in rows)
+
 
 class TestThreshold:
     def test_qfi_tmsv_symmetric(self, capsys):
@@ -202,6 +244,14 @@ class TestThreshold:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: tol") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--resource", "csv", "--fixed-mu"]])
+    def test_failure_at_zero_loss_is_an_error(self, capsys, extra):
+        code = main(["threshold", "--scheme", "qfi", "--resource", "tmsv", "--nbar", "1e300", *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestNonFiniteAndHugeEnergy:

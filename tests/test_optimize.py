@@ -185,6 +185,10 @@ class TestSnlThreshold:
         assert result.status == "crossed"
         assert hi == math.nextafter(lo, math.inf)
 
+    def test_failure_at_zero_loss_raises(self):
+        with pytest.raises(NumericFailure):
+            snl_threshold(Scheme.QFI, ResourceKind.TMSV, 1e300, LossKind.SYMMETRIC)
+
 
 class TestRunSweep:
     def test_spec_validation(self):
@@ -258,6 +262,25 @@ class TestRunSweep:
         # NaN-valued fields (phi_star for QFI rows) break dataclass equality
         # across process boundaries, so compare the printed forms.
         assert [repr(r) for r in serial] == [repr(r) for r in again]
+        assert [repr(r) for r in serial] == [repr(r) for r in parallel]
+
+    def test_warm_starts_stay_inside_chunks(self):
+        # 17 points make two chunks; the single-HD CSV rows carry a
+        # warm-started squeezing-fraction search from row to row.
+        spec = SweepSpec(
+            variable=SweepVariable.LOSS_RATE,
+            lo=0.0,
+            hi=0.4,
+            points=17,
+            schemes=(Scheme.SINGLE_HD,),
+            resources=(ResourceKind.CSV,),
+            loss_kind=LossKind.SYMMETRIC,
+            nbar=4.0,
+        )
+        serial = run_sweep(spec, threads=1)
+        parallel = run_sweep(spec, threads=2)
+        assert len(serial) == 17
+        assert all(row.status == "ok" for row in serial)
         assert [repr(r) for r in serial] == [repr(r) for r in parallel]
 
     def test_row_status_records_failures(self):
