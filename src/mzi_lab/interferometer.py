@@ -105,11 +105,15 @@ def _post_loss_cov_mean(resource: ResourceSpec, loss: LossModel):
     return state.cov, state.mean
 
 
+_B2 = beam_splitter(-math.pi / 4.0)
+
+
 def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     """Output covariances and means for an array of phases.
 
     The only code that composes the interferometer: every scalar entry
-    point is a grid of one phase.
+    point is a grid of one phase.  Each phase's result does not depend on
+    the other phases in the batch.
 
     Args:
         resource: input resource.
@@ -121,7 +125,6 @@ def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     cov_l, mean_l = _post_loss_cov_mean(resource, loss)
-    b2 = beam_splitter(-math.pi / 4.0)
     c, s = np.cos(phis), np.sin(phis)
     n = phis.shape[0]
     rot = np.zeros((n, 4, 4))
@@ -131,8 +134,11 @@ def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     rot[:, 1, 1] = c
     rot[:, 2, 2] = 1.0
     rot[:, 3, 3] = 1.0
-    post = b2[None, :, :] @ rot
-    covs = post @ cov_l[None, :, :] @ np.transpose(post, (0, 2, 1))
-    covs = (covs + np.transpose(covs, (0, 2, 1))) / 2.0
+    # Three (n, 4, 4) buffers in all: each is reused once it is consumed.
+    post = np.matmul(_B2, rot)
+    half = np.matmul(post, cov_l)
+    full = np.matmul(half, np.transpose(post, (0, 2, 1)), out=rot)
+    covs = np.add(full, np.transpose(full, (0, 2, 1)), out=half)
+    covs /= 2.0
     means = np.einsum("nij,j->ni", post, mean_l)
     return covs, means

@@ -176,18 +176,15 @@ def _angle_vectors(obs):
 
 def _grid_signal_variance(covs, means, obs):
     wa, wb = _angle_vectors(obs)
-    ga = covs[:, :2, :2]
-    gb = covs[:, 2:, 2:]
-    gab = covs[:, :2, 2:]
     ma = means[:, :2] @ wa
-    mb = means[:, 2:] @ wb
-    va = np.einsum("i,nij,j->n", wa, ga, wa)
-    vb = np.einsum("i,nij,j->n", wb, gb, wb)
-    cab = np.einsum("i,nij,j->n", wa, gab, wb)
+    va = np.einsum("i,nij,j->n", wa, covs[:, :2, :2], wa)
     if obs.kind is ObservableKind.QUADRATURE_A:
         return ma, va
     if obs.kind is ObservableKind.QUADRATURE_SQUARED_A:
         return va + ma**2, 2.0 * va**2 + 4.0 * va * ma**2
+    mb = means[:, 2:] @ wb
+    vb = np.einsum("i,nij,j->n", wb, covs[:, 2:, 2:], wb)
+    cab = np.einsum("i,nij,j->n", wa, covs[:, :2, 2:], wb)
     if obs.kind is ObservableKind.PRODUCT_QUAD_AB:
         signal = cab + ma * mb
         variance = va * vb + cab**2 + va * mb**2 + vb * ma**2 + 2.0 * cab * ma * mb
@@ -207,26 +204,47 @@ def _grid_parity(covs, means):
     return np.exp(-quad / 2.0) / (2.0 * np.sqrt(dets))
 
 
+#: Grid phases per :func:`output_grid` call of the stencil.  At five stencil
+#: phases per grid phase, a block's (900, 4, 4) temporaries take 115 kB,
+#: below glibc's default 128 KiB mmap threshold, so a 720-phase scan reuses
+#: heap memory instead of mapping and faulting in fresh pages each time.
+_STENCIL_BLOCK = 180
+
+
 def _phase_stencil(resource, loss, phis, values):
     """Output moments on a phase grid, with a derived quantity and its phase slope.
 
     The grid and its shifts by ``±h`` and ``±h/2`` (``h = SLOPE_STEP``) go
-    through one :func:`output_grid` call; the slope of ``values(covs,
-    means)`` is the Richardson combination of the two central differences.
+    through :func:`output_grid`, one call per block of at most
+    ``_STENCIL_BLOCK`` grid phases; the slope of ``values(covs, means)`` is
+    the Richardson combination of the two central differences.  Each phase's
+    result does not depend on the blocking.
 
     Returns:
         Tuple ``(covs, means, value, slope)`` on the unshifted grid.
     """
     phis = np.asarray(phis, dtype=float)
-    n = phis.shape[0]
+    total = phis.shape[0]
     h = SLOPE_STEP
     shifts = np.array([0.0, h, -h, h / 2.0, -h / 2.0])
-    covs, means = output_grid(resource, loss, (phis + shifts[:, None]).ravel())
-    v = values(covs, means)
-    center, s_p, s_m, s_hp, s_hm = v.reshape((5, n) + v.shape[1:])
-    coarse = (s_p - s_m) / (2.0 * h)
-    fine = (s_hp - s_hm) / h
-    return covs[:n], means[:n], center, (4.0 * fine - coarse) / 3.0
+    # The outputs are allocated before the blocks, so that every block's
+    # temporaries can take the memory the previous block's released.
+    covs, means = np.empty((total, 4, 4)), np.empty((total, 4))
+    value = slope = None
+    for start in range(0, max(total, 1), _STENCIL_BLOCK):
+        block = phis[start : start + _STENCIL_BLOCK]
+        n = block.shape[0]
+        grid_covs, grid_means = output_grid(resource, loss, (block + shifts[:, None]).ravel())
+        v = values(grid_covs, grid_means)
+        center, s_p, s_m, s_hp, s_hm = v.reshape((5, n) + v.shape[1:])
+        if value is None:
+            value, slope = np.empty((2, total) + v.shape[1:])
+        coarse = (s_p - s_m) / (2.0 * h)
+        fine = (s_hp - s_hm) / h
+        rows = slice(start, start + n)
+        covs[rows], means[rows], value[rows] = grid_covs[:n], grid_means[:n], center
+        slope[rows] = (4.0 * fine - coarse) / 3.0
+    return covs, means, value, slope
 
 
 def _signal_variance_slope(resource, loss, phis, obs):

@@ -221,63 +221,90 @@ def _min_over_phi(resource, loss, obs):
     return _refine_minimum(fn, grid[i] - spacing, grid[i] + spacing, 1e-5)
 
 
-def _sum_quad_objective(cov, dmean):
-    a00, a01, a11 = cov[0, 0], cov[0, 1], cov[1, 1]
-    b00, b01, b11 = cov[2, 2], cov[2, 3], cov[3, 3]
-    c00, c01, c10, c11 = cov[0, 2], cov[0, 3], cov[1, 2], cov[1, 3]
-    pa0, pa1, pb0, pb1 = dmean
+#: Newton step caps for the LO angles.  A warm start sits next to the
+#: optimum; a cold one starts from the best cell of the angle grid, whose
+#: spacing is 2π/24 ≈ 0.26.
+_WARM_ANGLE_CAP = 0.2
+_COLD_ANGLE_CAP = 0.3
+_NEWTON_ITERS = 30
 
-    def value(ta, tb):
+
+def _sum_quad_objective(cov, dmean):
+    """The quadrature-sum error ``f = V/S²`` in the two LO angles, with exact derivatives.
+
+    For ``u = (cos θa, sin θa)``, ``u' = (-sin θa, cos θa)`` and ``v``, ``v'``
+    likewise for θb, with ``A``, ``B``, ``C`` the aa, bb and ab blocks of
+    ``cov`` and ``p``, ``q`` the a and b halves of ``dmean``:
+    ``V = uᵀAu + vᵀBv + 2uᵀCv`` and ``S = uᵀp + vᵀq``.
+
+    Returns ``local(ta, tb) -> (f, f_a, f_b, f_aa, f_ab, f_bb)``; ``f`` is
+    ``inf`` and the derivatives ``nan`` where ``|S| < DEGENERATE_SLOPE``.
+    """
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = cov.tolist()
+    p0, p1, q0, q1 = dmean.tolist()
+    trace_a, trace_b = a00 + a11, b00 + b11
+
+    def local(ta, tb):
         ca, sa = math.cos(ta), math.sin(ta)
         cb, sb = math.cos(tb), math.sin(tb)
-        variance = (
-            a00 * ca * ca + 2.0 * a01 * ca * sa + a11 * sa * sa
-            + b00 * cb * cb + 2.0 * b01 * cb * sb + b11 * sb * sb
-            + 2.0 * (ca * (c00 * cb + c01 * sb) + sa * (c10 * cb + c11 * sb))
+        s = ca * p0 + sa * p1 + cb * q0 + sb * q1
+        if abs(s) < DEGENERATE_SLOPE:
+            return (math.inf,) + (math.nan,) * 5
+        s_a, s_b = ca * p1 - sa * p0, cb * q1 - sb * q0
+        s_aa, s_bb = -(ca * p0 + sa * p1), -(cb * q0 + sb * q1)
+        au0, au1 = a00 * ca + a01 * sa, a01 * ca + a11 * sa  # Au
+        bv0, bv1 = b00 * cb + b01 * sb, b01 * cb + b11 * sb  # Bv
+        cv0, cv1 = c00 * cb + c01 * sb, c10 * cb + c11 * sb  # Cv
+        cw0, cw1 = c01 * cb - c00 * sb, c11 * cb - c10 * sb  # Cv'
+        uau, vbv = ca * au0 + sa * au1, cb * bv0 + sb * bv1
+        ucv = ca * cv0 + sa * cv1
+        v = uau + vbv + 2.0 * ucv
+        v_a = 2.0 * (ca * au1 - sa * au0 + ca * cv1 - sa * cv0)
+        v_b = 2.0 * (cb * bv1 - sb * bv0 + ca * cw0 + sa * cw1)
+        # u'ᵀAu' = tr A - uᵀAu, because u and u' are an orthonormal basis.
+        v_aa = 2.0 * (trace_a - 2.0 * uau - ucv)
+        v_bb = 2.0 * (trace_b - 2.0 * vbv - ucv)
+        v_ab = 2.0 * (ca * cw1 - sa * cw0)
+        r = 1.0 / s
+        r2, r3 = r * r, r * r * r
+        r4 = r2 * r2
+        return (
+            v * r2,
+            v_a * r2 - 2.0 * v * s_a * r3,
+            v_b * r2 - 2.0 * v * s_b * r3,
+            v_aa * r2 - (4.0 * v_a * s_a + 2.0 * v * s_aa) * r3 + 6.0 * v * s_a * s_a * r4,
+            v_ab * r2 - 2.0 * (v_a * s_b + v_b * s_a) * r3 + 6.0 * v * s_a * s_b * r4,
+            v_bb * r2 - (4.0 * v_b * s_b + 2.0 * v * s_bb) * r3 + 6.0 * v * s_b * s_b * r4,
         )
-        slope = ca * pa0 + sa * pa1 + cb * pb0 + sb * pb1
-        if abs(slope) < DEGENERATE_SLOPE:
-            return math.inf
-        return variance / (slope * slope)
 
-    return value
+    return local
 
 
-def _newton_angles(value, ta, tb):
-    """Damped Newton on the two-angle objective from a warm start.
+def _newton_angles(local, ta, tb, cap):
+    """Newton's method on the two-angle objective ``local`` (exact derivatives).
 
-    Returns ``None`` whenever the local quadratic model is not trustworthy
-    (non-convex Hessian, oversized step, non-finite values), in which case
-    the caller falls back to the simplex search.
+    Returns ``(ta, tb, value)``, or ``None`` whenever the local quadratic
+    model is not trustworthy (a blind or non-finite point, a non-convex
+    Hessian, a step longer than ``cap``), in which case the caller falls
+    back to the simplex search.
     """
-    step = 1e-4
-    for _ in range(8):
-        f0 = value(ta, tb)
-        fpa, fma = value(ta + step, tb), value(ta - step, tb)
-        fpb, fmb = value(ta, tb + step), value(ta, tb - step)
-        fpp = value(ta + step, tb + step)
-        fmm = value(ta - step, tb - step)
-        fpm = value(ta + step, tb - step)
-        fmp = value(ta - step, tb + step)
-        if not all(map(math.isfinite, (f0, fpa, fma, fpb, fmb, fpp, fmm, fpm, fmp))):
+    for _ in range(_NEWTON_ITERS):
+        point = local(ta, tb)
+        if not all(map(math.isfinite, point)):
             return None
-        ga = (fpa - fma) / (2.0 * step)
-        gb = (fpb - fmb) / (2.0 * step)
-        haa = (fpa - 2.0 * f0 + fma) / step**2
-        hbb = (fpb - 2.0 * f0 + fmb) / step**2
-        hab = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
+        _, ga, gb, haa, hab, hbb = point
         det = haa * hbb - hab * hab
         if det <= 0.0 or haa <= 0.0:
             return None
         da = -(hbb * ga - hab * gb) / det
         db = -(haa * gb - hab * ga) / det
-        if max(abs(da), abs(db)) > 0.2:
+        if max(abs(da), abs(db)) > cap:
             return None
         ta += da
         tb += db
         if max(abs(da), abs(db)) < 1e-9:
             break
-    return ta, tb, value(ta, tb)
+    return ta, tb, local(ta, tb)[0]
 
 
 def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
@@ -285,14 +312,15 @@ def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
 
     The two angles are strongly coupled through the inter-mode covariance
     (the landscape is a narrow diagonal valley), so coordinate descent is
-    out; warm starts take a few Newton steps and anything else falls back
-    to a simplex search.
+    out.  Newton's method with exact derivatives runs from every start, warm
+    (the previous phase's angles) or cold (the best cell of the angle grid),
+    each with its own step cap.  A Nelder-Mead simplex search from the same
+    start is the fallback when Newton returns ``None``.
     """
-    value = _sum_quad_objective(cov, dmean)
-    if warm:
-        refined = _newton_angles(value, theta_a, theta_b)
-        if refined is not None:
-            return refined
+    local = _sum_quad_objective(cov, dmean)
+    refined = _newton_angles(local, theta_a, theta_b, _WARM_ANGLE_CAP if warm else _COLD_ANGLE_CAP)
+    if refined is not None:
+        return refined
 
     from scipy.optimize import minimize
 
@@ -300,7 +328,7 @@ def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
     spread = 0.01 if warm else 0.08
     simplex = np.array([start, start + [spread, 0.0], start + [0.0, spread]])
     result = minimize(
-        lambda t: value(t[0], t[1]),
+        lambda t: local(t[0], t[1])[0],
         start,
         method="Nelder-Mead",
         options={"xatol": 1e-7, "fatol": 1e-15, "maxiter": 300, "initial_simplex": simplex},
@@ -312,25 +340,40 @@ def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
 def _min_double_hd(resource, loss):
     """Jointly optimize phase and both LO angles for the quadrature-sum scheme.
 
-    A 180-phase by 24×24-angle grid locates the basin.
+    The error does not change under (θa, θb) → (θa + π, θb + π), so a grid
+    of 180 phases × 12 values of θa in [0, π) × 24 values of θb in [0, 2π)
+    holds every distinct setting once; it locates the basin.  Golden section
+    and the parabola polish then refine φ, and at every phase they try,
+    :func:`_refine_sum_quad_angles` refines the angles, cold from the grid's
+    best cell the first time and warm from the previous phase's angles after.
     """
     phis = np.linspace(0.0, _TWO_PI, 180, endpoint=False)
     covs, _, _, dmeans = _phase_stencil(resource, loss, phis, lambda covs, means: means)
     thetas = np.linspace(0.0, _TWO_PI, 24, endpoint=False)
-    w = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    wb = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    wa = wb[:12]
 
-    # Sensitivity on the full (phi, theta_a, theta_b) grid in one shot.
-    va = np.einsum("ui,nij,uj->nu", w, covs[:, :2, :2], w)
-    vb = np.einsum("vi,nij,vj->nv", w, covs[:, 2:, 2:], w)
-    cab = np.einsum("ui,nij,vj->nuv", w, covs[:, :2, 2:], w)
-    variance = va[:, :, None] + vb[:, None, :] + 2.0 * cab
-    slope = (dmeans[:, :2] @ w.T)[:, :, None] + (dmeans[:, 2:] @ w.T)[:, None, :]
-    values = np.full(variance.shape, np.inf)
-    ok = np.abs(slope) >= DEGENERATE_SLOPE
-    values[ok] = variance[ok] / slope[ok] ** 2
-    if not np.isfinite(values).any():
+    # A slab of 30 phases at a time: its (30, 12, 24) temporaries (69 kB)
+    # stay below glibc's mmap threshold, where the whole grid's (414 kB)
+    # would map and fault in fresh pages on every call.
+    slab = 30
+    best, best_value = None, np.inf
+    for start in range(0, phis.shape[0], slab):
+        c, d = covs[start : start + slab], dmeans[start : start + slab]
+        va = np.einsum("ui,nij,uj->nu", wa, c[:, :2, :2], wa)
+        vb = np.einsum("vi,nij,vj->nv", wb, c[:, 2:, 2:], wb)
+        variance = va[:, :, None] + vb[:, None, :] + 2.0 * (wa @ c[:, :2, 2:] @ wb.T)
+        slope = (d[:, :2] @ wa.T)[:, :, None] + (d[:, 2:] @ wb.T)[:, None, :]
+        values = np.full(variance.shape, np.inf)
+        np.divide(variance, slope * slope, out=values, where=np.abs(slope) >= DEGENERATE_SLOPE)
+        cell = int(np.argmin(values))
+        if values.flat[cell] < best_value:
+            best_value = values.flat[cell]
+            i, j, k = np.unravel_index(cell, values.shape)
+            best = start + i, j, k
+    if best is None:
         raise NoOptimum("quadrature-sum scheme is blind everywhere on the grid")
-    i, j, k = np.unravel_index(int(np.argmin(values)), values.shape)
+    i, j, k = best
     angle_spacing = _TWO_PI / 24
 
     state = {"ta": j * angle_spacing, "tb": k * angle_spacing, "warm": False}
@@ -494,7 +537,8 @@ def _chain(scheme, kind, optimize_mu=True, mu_tol=1e-5):
     Returns ``point(nbar, loss) -> SchemePoint``.  Only a CSV resource has a
     squeezing fraction.  With ``optimize_mu`` it is searched at every point,
     warm-started from the previous point's optimum; otherwise it is pinned at
-    the scheme's lossless optimum, computed once per ``nbar``.
+    the scheme's lossless optimum, computed once per ``nbar``, and that
+    lossless point is itself the chain's answer at zero loss.
     """
     last_mu = None
     pins = {}
@@ -505,8 +549,10 @@ def _chain(scheme, kind, optimize_mu=True, mu_tol=1e-5):
             return scheme_sensitivity(scheme, kind, nbar, loss)
         if not optimize_mu:
             if nbar not in pins:
-                pins[nbar] = scheme_sensitivity(scheme, kind, nbar, LossModel.lossless()).mu
-            return scheme_sensitivity(scheme, kind, nbar, loss, mu=pins[nbar])
+                pins[nbar] = scheme_sensitivity(scheme, kind, nbar, LossModel.lossless())
+            if loss.is_lossless:
+                return pins[nbar]
+            return scheme_sensitivity(scheme, kind, nbar, loss, mu=pins[nbar].mu)
         result = scheme_sensitivity(scheme, kind, nbar, loss, mu_tol=mu_tol, mu_seed=last_mu)
         last_mu = result.mu
         return result

@@ -8,6 +8,9 @@ from the state-level building blocks instead: the pipeline is composed from
 ``phase_shifter``; quadrature moments come from a mode rotation and
 ``symmetric_moment``; parity from the 2x2 Wigner formula; and the slope is a
 Richardson-refined central difference of the reference signal.
+
+The last test compares the blocked phase scan of ``sensitivity_profile``
+with one ``output_grid`` call over the whole stencil, bit for bit.
 """
 
 import math
@@ -36,7 +39,12 @@ from mzi_lab import (
     symmetric_moment,
 )
 from mzi_lab.interferometer import output_grid
-from mzi_lab.measurements import sensitivity_profile
+from mzi_lab.measurements import (
+    DEGENERATE_SLOPE,
+    _grid_parity,
+    _grid_signal_variance,
+    sensitivity_profile,
+)
 
 from conftest import rotation_pair
 
@@ -163,3 +171,35 @@ def test_error_respects_qcrb_and_outputs_are_physical(
     assert np.all(errors >= qfi_closed(resource, loss).qcrb * (1.0 - 1e-9))
     for cov, mean in zip(*output_grid(resource, loss, phis)):
         assert is_physical(GaussianState(cov, mean))
+
+
+def single_call_profile(resource, loss, phis, obs):
+    """``sensitivity_profile`` with the whole 5n-phase stencil in one ``output_grid`` call."""
+    n, h = phis.shape[0], SLOPE_STEP
+    shifts = np.array([0.0, h, -h, h / 2.0, -h / 2.0])
+    covs, means = output_grid(resource, loss, (phis + shifts[:, None]).ravel())
+    if obs.kind is ObservableKind.PARITY_A:
+        signals = _grid_parity(covs, means)
+        variance = 1.0 - signals[:n] ** 2
+    else:
+        signals, variances = _grid_signal_variance(covs, means, obs)
+        variance = variances[:n]
+    _, s_p, s_m, s_hp, s_hm = signals.reshape(5, n)
+    slope = (4.0 * ((s_hp - s_hm) / h) - (s_p - s_m) / (2.0 * h)) / 3.0
+    out = np.full(n, np.inf)
+    ok = (np.abs(slope) >= DEGENERATE_SLOPE) & (variance >= 0.0)
+    out[ok] = variance[ok] / slope[ok] ** 2
+    return out
+
+
+@pytest.mark.parametrize("kind", list(ObservableKind))
+@pytest.mark.parametrize("resource_kind", list(ResourceKind))
+def test_blocked_profile_equals_one_call(kind, resource_kind):
+    # The production stencil splits a 720-phase scan into blocks; each
+    # phase's result must not depend on that.
+    resource = ResourceSpec.from_energy(resource_kind, 6.0, 0.4)
+    loss = LossModel(0.8, 0.65)
+    phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    obs = make_observable(kind, 0.7, 2.1)
+    blocked = sensitivity_profile(resource, loss, phis, obs)
+    assert np.array_equal(blocked, single_call_profile(resource, loss, phis, obs))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -184,3 +188,33 @@ class TestVectorizedProfile:
         signal, variance = signal_and_variance(state, Observable.quadrature(theta))
         assert signal == pytest.approx(w @ state.mean, rel=1e-12)
         assert variance == pytest.approx(w @ state.cov @ w, rel=1e-12)
+
+
+_FAULT_PROBE = textwrap.dedent(
+    """
+    import resource
+    from mzi_lab import LossModel, ResourceKind, Scheme, scheme_sensitivity
+
+    def op():
+        scheme_sensitivity(Scheme.SINGLE_HD, ResourceKind.TMSV, 5.0, LossModel.symmetric(0.8))
+
+    op()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        op()
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+    """
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mmap threshold is Linux behaviour")
+def test_phase_scan_reuses_heap_memory():
+    # A 720-phase scan is 3,600 stencil phases; as one output_grid call its
+    # temporaries exceed glibc's mmap threshold, and every scan then maps
+    # and unmaps fresh pages (about 400 minor faults per point).
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert float(proc.stdout) < 50.0

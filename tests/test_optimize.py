@@ -20,8 +20,9 @@ from mzi_lab import (
     snl,
     snl_threshold,
 )
+from mzi_lab import optimize
 from mzi_lab.errors import DegenerateWorkingPoint
-from mzi_lab.optimize import golden_section
+from mzi_lab.optimize import _chain, golden_section
 
 
 class TestGoldenSection:
@@ -188,6 +189,12 @@ class TestSnlThreshold:
     def test_failure_at_zero_loss_raises(self):
         with pytest.raises(NumericFailure):
             snl_threshold(Scheme.QFI, ResourceKind.TMSV, 1e300, LossKind.SYMMETRIC)
+
+    def test_fixed_mu_chain_answers_zero_loss_with_its_pin(self, monkeypatch):
+        point = _chain(Scheme.QFI, ResourceKind.CSV, optimize_mu=False)
+        pin = point(5.0, LossKind.SYMMETRIC.model(0.0))
+        monkeypatch.setattr(optimize, "scheme_sensitivity", None)  # no second evaluation
+        assert point(5.0, LossModel.lossless()) is pin
 
 
 class TestRunSweep:
