@@ -26,7 +26,7 @@ from .states import (
     reduce_to_mode,
 )
 
-__all__ = ["LossModel", "InterferometerConfig", "output_state", "output_mode_a"]
+__all__ = ["LossModel", "InterferometerConfig", "output_state", "output_mode_a", "phase_coefficients"]
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,9 @@ _B2 = beam_splitter(-math.pi / 4.0)
 def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     """Output covariances and means for an array of phases.
 
-    The only code that composes the interferometer: every scalar entry
-    point is a grid of one phase.  Each phase's result does not depend on
-    the other phases in the batch.
+    Every scalar entry point is a grid of one phase, and
+    :func:`phase_coefficients` expands the same composition in the phase.
+    Each phase's result does not depend on the other phases in the batch.
 
     Args:
         resource: input resource.
@@ -142,3 +142,22 @@ def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     covs /= 2.0
     means = np.einsum("nij,j->ni", post, mean_l)
     return covs, means
+
+
+# B2·R(φ) = P0 + cos φ·P1 + sin φ·P2, as the phase rotates mode a only.
+_J = np.diag([1.0, 0.0, 0.0], 1) - np.diag([1.0, 0.0, 0.0], -1)
+_POST = _B2 @ [np.diag([0.0, 0.0, 1.0, 1.0]), np.diag([1.0, 1.0, 0.0, 0.0]), _J]
+
+
+def phase_coefficients(resource: ResourceSpec, loss: LossModel):
+    """The output moments as trigonometric polynomials in the phase.
+
+    ``cov(φ) = Σ_k T_k(φ)·K[k]`` with ``T = (1, cos φ, sin φ, cos²φ, sin²φ,
+    cos φ·sin φ)`` and ``mean(φ) = M[0] + cos φ·M[1] + sin φ·M[2]``: the
+    moments of :func:`output_grid` to roundoff, with exact phase derivatives.
+    Returns ``(K, M)``, of shapes (6, 4, 4) and (3, 4).
+    """
+    cov_l, mean_l = _post_loss_cov_mean(resource, loss)
+    g = (_POST @ cov_l)[:, None] @ np.transpose(_POST, (0, 2, 1))  # g[i, j] = P_i·cov·P_jᵀ
+    K = np.array([g[0, 0], g[0, 1] + g[1, 0], g[0, 2] + g[2, 0], g[1, 1], g[2, 2], g[1, 2] + g[2, 1]])
+    return (K + np.transpose(K, (0, 2, 1))) / 2.0, _POST @ mean_l

@@ -6,8 +6,8 @@ quadratures of mode a, and products/sums of one quadrature per output mode.
 Moments are read off the output covariance and mean, with the fourth-order
 ones from the Gaussian (Isserlis) expansion; every observable here involves
 only mutually commuting quadratures, so symmetric ordering equals operator
-ordering.  One grid kernel evaluates them on arrays of phases; the scalar
-functions are grids of one phase.
+ordering.  Quadrature moments and exact phase slopes come from ``phase_coefficients``;
+parity alone samples ``output_grid`` for a stencil slope.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateWorkingPoint, InvalidArgument, NumericFailure
-from .interferometer import InterferometerConfig, output_grid
+from .interferometer import InterferometerConfig, output_grid, phase_coefficients
 from .states import GaussianState, SingleModeState
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "double_hd_csv_sensitivity",
 ]
 
-#: Central-difference step for phase slopes.
+#: Central-difference step of the parity slope.
 SLOPE_STEP = 1e-5
 
 #: Below this slope magnitude a working point is treated as blind.
@@ -114,8 +114,8 @@ def signal_and_variance(state: GaussianState, obs: Observable):
     """Mean and variance of a quadrature-type observable on an output state."""
     if obs.kind is ObservableKind.PARITY_A:
         raise InvalidArgument("parity has no quadrature moments; use parity_expectation")
-    signal, variance = _grid_signal_variance(state.cov[None], state.mean[None], obs)
-    return float(signal[0]), float(variance[0])
+    moments = [float(m) for m in _moments(state.cov, state.mean, obs)]
+    return _observable(obs.kind, moments, [0.0] * 5)[:2]
 
 
 def _error_from(signal, variance, slope, phi):
@@ -124,17 +124,12 @@ def _error_from(signal, variance, slope, phi):
             f"signal slope {slope:.3e} at phi={phi:.6f} is below {DEGENERATE_SLOPE:.0e}"
         )
     return SensitivityResult(
-        error=float(variance / slope**2),
+        error=float(variance / (slope * slope)),
         signal=float(signal),
         variance=float(variance),
         slope=float(slope),
         phi=float(phi),
     )
-
-
-def _sensitivity_at(cfg: InterferometerConfig, obs: Observable) -> SensitivityResult:
-    signal, variance, slope = _signal_variance_slope(cfg.resource, cfg.loss, [cfg.phi], obs)
-    return _error_from(signal[0], variance[0], slope[0], cfg.phi)
 
 
 def parity_sensitivity(cfg: InterferometerConfig) -> SensitivityResult:
@@ -143,7 +138,8 @@ def parity_sensitivity(cfg: InterferometerConfig) -> SensitivityResult:
     Parity squares to the identity, so the variance is ``1 - <Pi>^2``; the
     slope is a Richardson-refined central difference of the expectation.
     """
-    return _sensitivity_at(cfg, Observable.parity())
+    signal, slope = _phase_stencil(cfg.resource, cfg.loss, [cfg.phi])
+    return _error_from(signal[0], 1.0 - signal[0] ** 2, slope[0], cfg.phi)
 
 
 def homodyne_sensitivity(cfg: InterferometerConfig, obs: Observable) -> SensitivityResult:
@@ -155,7 +151,7 @@ def homodyne_sensitivity(cfg: InterferometerConfig, obs: Observable) -> Sensitiv
     """
     if obs.kind is ObservableKind.PARITY_A:
         raise InvalidArgument("use parity_sensitivity for the parity observable")
-    return _sensitivity_at(cfg, obs)
+    return _error_from(*_quadrature_moments(cfg.resource, cfg.loss, obs)(float(cfg.phi)), cfg.phi)
 
 
 def double_hd_csv_sensitivity(
@@ -165,43 +161,95 @@ def double_hd_csv_sensitivity(
     return homodyne_sensitivity(cfg, Observable.quadrature_sum(angle_a, angle_b))
 
 
-# -- the grid kernel ----------------------------------------------------------
+# -- the quadrature kernel ----------------------------------------------------
 
 
-def _angle_vectors(obs):
+def _moments(cov, mean, obs):
+    """``m_a, m_b, v_a, v_b, c_ab`` of ``obs``; ``cov`` and ``mean`` may carry a leading axis."""
     wa = np.array([math.cos(obs.angle_a), math.sin(obs.angle_a)])
     wb = np.array([math.cos(obs.angle_b), math.sin(obs.angle_b)])
-    return wa, wb
+    ma, mb = mean[..., :2] @ wa, mean[..., 2:] @ wb
+    return [ma, mb, wa @ cov[..., :2, :2] @ wa, wb @ cov[..., 2:, 2:] @ wb, wa @ cov[..., :2, 2:] @ wb]
 
 
-def _grid_signal_variance(covs, means, obs):
-    wa, wb = _angle_vectors(obs)
-    ma = means[:, :2] @ wa
-    va = np.einsum("i,nij,j->n", wa, covs[:, :2, :2], wa)
-    if obs.kind is ObservableKind.QUADRATURE_A:
-        return ma, va
-    if obs.kind is ObservableKind.QUADRATURE_SQUARED_A:
-        return va + ma**2, 2.0 * va**2 + 4.0 * va * ma**2
-    mb = means[:, 2:] @ wb
-    vb = np.einsum("i,nij,j->n", wb, covs[:, 2:, 2:], wb)
-    cab = np.einsum("i,nij,j->n", wa, covs[:, :2, 2:], wb)
-    if obs.kind is ObservableKind.PRODUCT_QUAD_AB:
-        signal = cab + ma * mb
-        variance = va * vb + cab**2 + va * mb**2 + vb * ma**2 + 2.0 * cab * ma * mb
-        return signal, variance
-    if obs.kind is ObservableKind.SUM_QUAD_AB:
-        return ma + mb, va + vb + 2.0 * cab
-    raise InvalidArgument(f"no grid moments for observable kind {obs.kind}")
+def _observable(kind, moments, slopes):
+    """Signal, variance and phase slope from :func:`_moments` and their slopes (floats or arrays)."""
+    (ma, mb, va, vb, cab), (dma, dmb, dva, _, dcab) = moments, slopes
+    if kind is ObservableKind.QUADRATURE_A:
+        return ma, va, dma
+    if kind is ObservableKind.QUADRATURE_SQUARED_A:
+        return va + ma * ma, 2.0 * (va * va) + 4.0 * va * (ma * ma), dva + 2.0 * ma * dma
+    if kind is ObservableKind.PRODUCT_QUAD_AB:
+        variance = va * vb + cab * cab + va * (mb * mb) + vb * (ma * ma) + 2.0 * cab * ma * mb
+        return cab + ma * mb, variance, dcab + dma * mb + ma * dmb
+    return ma + mb, va + vb + 2.0 * cab, dma + dmb
+
+
+def _quadrature_moments(resource, loss, obs):
+    """``phi -> (signal, variance, slope)`` of a quadrature-type observable, exact in ``phi``.
+
+    Each moment ``Σ_k T_k(φ)·k_k`` of :func:`phase_coefficients` (a mean has no degree-2
+    terms) has the slope ``Σ_k T_k'(φ)·k_k``; ``phi`` is a float or an array.
+    """
+    K, M = phase_coefficients(resource, loss)
+    coefficients = [m.tolist() for m in _moments(K, np.concatenate([M, np.zeros_like(M)]), obs)]
+
+    def at(phi):
+        trig = math if isinstance(phi, float) else np
+        c, s = trig.cos(phi), trig.sin(phi)
+        cc, ss, cs = c * c, s * s, c * s
+        moments, slopes = [], []
+        for k0, k1, k2, k3, k4, k5 in coefficients:
+            moments.append(k0 + c * k1 + s * k2 + cc * k3 + ss * k4 + cs * k5)
+            slopes.append(c * k2 - s * k1 + 2.0 * cs * (k4 - k3) + (cc - ss) * k5)
+        return _observable(obs.kind, moments, slopes)
+
+    return at
+
+
+def _errors(variance, slope):
+    """``variance / slope²``; ``inf`` at blind points and at negative variances."""
+    ok = (abs(slope) >= DEGENERATE_SLOPE) & (variance >= 0.0)
+    if isinstance(slope, float):
+        return variance / (slope * slope) if ok else math.inf
+    out = np.full(np.shape(slope), np.inf)
+    out[ok] = variance[ok] / slope[ok] ** 2
+    return out
+
+
+def phase_error(resource, loss, obs: Observable):
+    """``error(phi)`` for a float or an array of phases, ``inf`` where blind.
+
+    Quadratures reuse the phase coefficients computed here; parity runs :func:`sensitivity_profile`.
+    """
+    if obs.kind is ObservableKind.PARITY_A:
+        def parity_error(phi):
+            errors = sensitivity_profile(resource, loss, np.atleast_1d(phi), obs)
+            return float(errors[0]) if isinstance(phi, float) else errors
+
+        return parity_error
+    moments = _quadrature_moments(resource, loss, obs)
+
+    def error(phi):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _errors(*moments(phi)[1:])
+
+    return error
+
+
+# -- the parity stencil -------------------------------------------------------
 
 
 def _grid_parity(covs, means):
-    dets = np.linalg.det(covs[:, :2, :2])
-    try:
-        sol = np.linalg.solve(covs[:, :2, :2], means[:, :2, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure("mode-a covariance is singular") from exc
-    quad = np.einsum("ni,ni->n", means[:, :2], sol)
-    return np.exp(-quad / 2.0) / (2.0 * np.sqrt(dets))
+    # Overflowing moments (n̄ near the float range) give nan, not warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(covs[:, :2, :2])
+        try:
+            sol = np.linalg.solve(covs[:, :2, :2], means[:, :2, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure("mode-a covariance is singular") from exc
+        quad = np.einsum("ni,ni->n", means[:, :2], sol)
+        return np.exp(-quad / 2.0) / (2.0 * np.sqrt(dets))
 
 
 #: Grid phases per :func:`output_grid` call of the stencil.  At five stencil
@@ -211,17 +259,17 @@ def _grid_parity(covs, means):
 _STENCIL_BLOCK = 180
 
 
-def _phase_stencil(resource, loss, phis, values):
-    """Output moments on a phase grid, with a derived quantity and its phase slope.
+def _phase_stencil(resource, loss, phis):
+    """Parity of output mode a on a phase grid, with its phase slope.
 
     The grid and its shifts by ``±h`` and ``±h/2`` (``h = SLOPE_STEP``) go
     through :func:`output_grid`, one call per block of at most
-    ``_STENCIL_BLOCK`` grid phases; the slope of ``values(covs, means)`` is
-    the Richardson combination of the two central differences.  Each phase's
-    result does not depend on the blocking.
+    ``_STENCIL_BLOCK`` grid phases; the slope is the Richardson combination
+    of the two central differences.  Each phase's result does not depend on
+    the blocking.
 
     Returns:
-        Tuple ``(covs, means, value, slope)`` on the unshifted grid.
+        Tuple ``(parity, slope)`` on the unshifted grid.
     """
     phis = np.asarray(phis, dtype=float)
     total = phis.shape[0]
@@ -229,34 +277,17 @@ def _phase_stencil(resource, loss, phis, values):
     shifts = np.array([0.0, h, -h, h / 2.0, -h / 2.0])
     # The outputs are allocated before the blocks, so that every block's
     # temporaries can take the memory the previous block's released.
-    covs, means = np.empty((total, 4, 4)), np.empty((total, 4))
-    value = slope = None
-    for start in range(0, max(total, 1), _STENCIL_BLOCK):
+    value, slope = np.empty((2, total))
+    for start in range(0, total, _STENCIL_BLOCK):
         block = phis[start : start + _STENCIL_BLOCK]
         n = block.shape[0]
-        grid_covs, grid_means = output_grid(resource, loss, (block + shifts[:, None]).ravel())
-        v = values(grid_covs, grid_means)
-        center, s_p, s_m, s_hp, s_hm = v.reshape((5, n) + v.shape[1:])
-        if value is None:
-            value, slope = np.empty((2, total) + v.shape[1:])
+        v = _grid_parity(*output_grid(resource, loss, (block + shifts[:, None]).ravel()))
+        center, s_p, s_m, s_hp, s_hm = v.reshape(5, n)
         coarse = (s_p - s_m) / (2.0 * h)
         fine = (s_hp - s_hm) / h
-        rows = slice(start, start + n)
-        covs[rows], means[rows], value[rows] = grid_covs[:n], grid_means[:n], center
-        slope[rows] = (4.0 * fine - coarse) / 3.0
-    return covs, means, value, slope
-
-
-def _signal_variance_slope(resource, loss, phis, obs):
-    if obs.kind is ObservableKind.PARITY_A:
-        _, _, signal, slope = _phase_stencil(resource, loss, phis, _grid_parity)
-        return signal, 1.0 - signal**2, slope
-
-    def signal_of(covs, means):
-        return _grid_signal_variance(covs, means, obs)[0]
-
-    covs, means, signal, slope = _phase_stencil(resource, loss, phis, signal_of)
-    return signal, _grid_signal_variance(covs, means, obs)[1], slope
+        value[start : start + n] = center
+        slope[start : start + n] = (4.0 * fine - coarse) / 3.0
+    return value, slope
 
 
 def sensitivity_profile(resource, loss, phis, obs: Observable):
@@ -266,8 +297,7 @@ def sensitivity_profile(resource, loss, phis, obs: Observable):
     :data:`DEGENERATE_SLOPE`) and negative variances from roundoff map to
     ``inf`` rather than raising, so optimizers can scan freely.
     """
-    _, variance, slope = _signal_variance_slope(resource, loss, phis, obs)
-    out = np.full(np.shape(phis), np.inf)
-    ok = (np.abs(slope) >= DEGENERATE_SLOPE) & (variance >= 0.0)
-    out[ok] = variance[ok] / slope[ok] ** 2
-    return out
+    if obs.kind is not ObservableKind.PARITY_A:
+        return phase_error(resource, loss, obs)(np.asarray(phis, dtype=float))
+    signal, slope = _phase_stencil(resource, loss, phis)
+    return _errors(1.0 - signal**2, slope)

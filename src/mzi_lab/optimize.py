@@ -4,8 +4,8 @@ All searches are deterministic grid-then-refine 1-D routines: a coarse scan
 locates the global basin, golden-section refines it, and a parabola fit
 through three off-center points returns the final value.  The parabola step
 matters for the lossless schemes whose optimum is a degenerate working point
-(signal variance and slope both vanish there): finite-difference sensitivities
-evaluated too close to such a point are dominated by roundoff, while the
+(signal variance and slope both vanish there): sensitivities evaluated too
+close to such a point are dominated by roundoff in the variance, while the
 vertex of a parabola fitted a safe distance away recovers the limit value to
 well below the tolerances used in the test suite.
 """
@@ -18,9 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgument, MziLabError, NoOptimum, UnsupportedConfiguration
-from .interferometer import LossModel, output_grid  # noqa: F401 (perfbench's tracing test checks this binding)
-from .measurements import DEGENERATE_SLOPE, Observable, _phase_stencil, sensitivity_profile
+from .errors import InvalidArgument, MziLabError, NoOptimum, NumericFailure, UnsupportedConfiguration
+from .interferometer import LossModel, phase_coefficients
+from .interferometer import output_grid  # noqa: F401 (perfbench's tracing test checks this binding)
+from .measurements import DEGENERATE_SLOPE, Observable, phase_error
 from .qfi import qfi_closed, qfi_numeric, snl
 from .states import ResourceKind, ResourceSpec
 
@@ -160,9 +161,12 @@ def _parabola_polish(fn, x0, f0):
 
 def _refine_minimum(fn, lo, hi, tol=1e-8):
     # The polish sets the final accuracy; golden section only needs to land
-    # inside the quadratic region of the basin.
-    x, f = golden_section(fn, lo, hi, tol)
-    return _parabola_polish(fn, x, f)
+    # inside the quadratic region of the basin.  An error that is not finite
+    # and > 0 there comes from roundoff, not from the measurement.
+    x, f = _parabola_polish(fn, *golden_section(fn, lo, hi, tol))
+    if not (math.isfinite(f) and f > 0.0):
+        raise NumericFailure(f"phase optimum {f!r} is not a finite positive error")
+    return x, f
 
 
 def optimal_phi(sensitivity_fn, domain=(0.0, _TWO_PI), grid_points=720, tol=1e-8):
@@ -177,6 +181,7 @@ def optimal_phi(sensitivity_fn, domain=(0.0, _TWO_PI), grid_points=720, tol=1e-8
 
     Raises:
         NoOptimum: if the function is degenerate on the whole grid.
+        NumericFailure: if the refined minimum is not finite and > 0.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
@@ -208,15 +213,12 @@ class SchemePoint:
 
 def _min_over_phi(resource, loss, obs):
     """Phase-optimized sensitivity of a fixed observable (720-point scan)."""
+    fn = phase_error(resource, loss, obs)
     grid = np.linspace(0.0, _TWO_PI, 720, endpoint=False)
-    values = sensitivity_profile(resource, loss, grid, obs)
+    values = fn(grid)
     if not np.isfinite(values).any():
         raise NoOptimum("observable is blind at every phase on the grid")
     i = int(np.argmin(values))
-
-    def fn(phi):
-        return float(sensitivity_profile(resource, loss, np.array([phi]), obs)[0])
-
     spacing = _TWO_PI / 720
     return _refine_minimum(fn, grid[i] - spacing, grid[i] + spacing, 1e-5)
 
@@ -337,6 +339,16 @@ def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
     return float(ta), float(tb), float(result.fun)
 
 
+def _cov_and_dmean(coefficients, phi):
+    """Output covariance and mean phase slope at ``phi``, a float or an array of phases."""
+    K, M = coefficients
+    trig = math if isinstance(phi, float) else np
+    c, s = trig.cos(phi), trig.sin(phi)
+    powers = np.array([np.ones(np.shape(phi)), c, s, c * c, s * s, c * s])
+    cov = (powers.T @ K.reshape(6, 16)).reshape(np.shape(phi) + (4, 4))
+    return cov, np.array([-s, c]).T @ M[1:]
+
+
 def _min_double_hd(resource, loss):
     """Jointly optimize phase and both LO angles for the quadrature-sum scheme.
 
@@ -347,8 +359,9 @@ def _min_double_hd(resource, loss):
     :func:`_refine_sum_quad_angles` refines the angles, cold from the grid's
     best cell the first time and warm from the previous phase's angles after.
     """
+    coefficients = phase_coefficients(resource, loss)
     phis = np.linspace(0.0, _TWO_PI, 180, endpoint=False)
-    covs, _, _, dmeans = _phase_stencil(resource, loss, phis, lambda covs, means: means)
+    covs, dmeans = _cov_and_dmean(coefficients, phis)
     thetas = np.linspace(0.0, _TWO_PI, 24, endpoint=False)
     wb = np.column_stack([np.cos(thetas), np.sin(thetas)])
     wa = wb[:12]
@@ -379,10 +392,8 @@ def _min_double_hd(resource, loss):
     state = {"ta": j * angle_spacing, "tb": k * angle_spacing, "warm": False}
 
     def fn(phi):
-        covs, _, _, dmeans = _phase_stencil(resource, loss, [phi], lambda covs, means: means)
-        ta, tb, value = _refine_sum_quad_angles(
-            covs[0], dmeans[0], state["ta"], state["tb"], warm=state["warm"]
-        )
+        cov, dmean = _cov_and_dmean(coefficients, phi)
+        ta, tb, value = _refine_sum_quad_angles(cov, dmean, state["ta"], state["tb"], warm=state["warm"])
         state["ta"], state["tb"], state["warm"] = ta, tb, True
         return value
 

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from mzi_lab import LossModel, ResourceKind, ResourceSpec
 from mzi_lab import optimize
-from mzi_lab.measurements import _phase_stencil
+from mzi_lab.interferometer import phase_coefficients
 from mzi_lab.optimize import (
     _COLD_ANGLE_CAP,
+    _cov_and_dmean,
     _newton_angles,
     _refine_sum_quad_angles,
     _sum_quad_objective,
@@ -28,8 +29,7 @@ from mzi_lab.optimize import (
 def output_moments(nbar, mu, eta_a, eta_b, phi):
     """Output covariance and mean phase slope of a CSV input, as the optimizer sees them."""
     resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, mu)
-    covs, _, _, dmeans = _phase_stencil(resource, LossModel(eta_a, eta_b), [phi], lambda covs, means: means)
-    return covs[0], dmeans[0]
+    return _cov_and_dmean(phase_coefficients(resource, LossModel(eta_a, eta_b)), phi)
 
 
 def slope_ratio(dmean, ta, tb):

@@ -290,6 +290,43 @@ class TestNonFiniteAndHugeEnergy:
         assert code in (1, 2)
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("scheme", ["single-hd", "double-hd"])
+    def test_huge_energy_homodyne_optimum_is_an_error(self, capsys, scheme):
+        # Roundoff drives the optimized error to 0 or below here; that must
+        # not print as a result that beats the shot-noise limit.
+        code = main(["point", "--scheme", scheme, "--resource", "csv", "--nbar", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_huge_energy_homodyne_sweep_rows_fail(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "sweep", "--variable", "loss-rate", "--lo", "0", "--hi", "0.2", "--points", "2",
+            "--nbar", "1e300", "--scheme", "single-hd", "double-hd", "--resource", "csv",
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 4
+        assert "ok" not in {row["status"] for row in rows}
+
+    @pytest.mark.parametrize("resource", ["csv", "tmsv", "coherent"])
+    @pytest.mark.parametrize("scheme", ["qfi", "parity", "single-hd", "double-hd"])
+    def test_huge_energy_point_prints_no_warning(self, scheme, resource):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mzi_lab.cli", "point", "--scheme", scheme, "--resource", resource,
+             "--nbar", "1e300"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode in (0, 1)
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestParsing:
     def test_bad_flag_exits_2(self):

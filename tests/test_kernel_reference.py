@@ -9,10 +9,14 @@ from the state-level building blocks instead: the pipeline is composed from
 ``symmetric_moment``; parity from the 2x2 Wigner formula; and the slope is a
 Richardson-refined central difference of the reference signal.
 
-The last test compares the blocked phase scan of ``sensitivity_profile``
-with one ``output_grid`` call over the whole stencil, bit for bit.
+The quadrature observables take their moments and exact slopes from
+``phase_coefficients``: these are checked against ``output_grid`` and against
+a complex-step derivative through a pipeline composed here.  The last test
+compares the blocked phase scan of ``sensitivity_profile`` with one call
+over the whole scan, bit for bit.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -38,13 +42,8 @@ from mzi_lab import (
     qfi_closed,
     symmetric_moment,
 )
-from mzi_lab.interferometer import output_grid
-from mzi_lab.measurements import (
-    DEGENERATE_SLOPE,
-    _grid_parity,
-    _grid_signal_variance,
-    sensitivity_profile,
-)
+from mzi_lab.interferometer import output_grid, phase_coefficients
+from mzi_lab.measurements import DEGENERATE_SLOPE, _grid_parity, homodyne_sensitivity, sensitivity_profile
 
 from conftest import rotation_pair
 
@@ -173,17 +172,13 @@ def test_error_respects_qcrb_and_outputs_are_physical(
         assert is_physical(GaussianState(cov, mean))
 
 
-def single_call_profile(resource, loss, phis, obs):
-    """``sensitivity_profile`` with the whole 5n-phase stencil in one ``output_grid`` call."""
+def single_call_profile(resource, loss, phis):
+    """The parity ``sensitivity_profile`` with the whole 5n-phase stencil in one ``output_grid`` call."""
     n, h = phis.shape[0], SLOPE_STEP
     shifts = np.array([0.0, h, -h, h / 2.0, -h / 2.0])
     covs, means = output_grid(resource, loss, (phis + shifts[:, None]).ravel())
-    if obs.kind is ObservableKind.PARITY_A:
-        signals = _grid_parity(covs, means)
-        variance = 1.0 - signals[:n] ** 2
-    else:
-        signals, variances = _grid_signal_variance(covs, means, obs)
-        variance = variances[:n]
+    signals = _grid_parity(covs, means)
+    variance = 1.0 - signals[:n] ** 2
     _, s_p, s_m, s_hp, s_hm = signals.reshape(5, n)
     slope = (4.0 * ((s_hp - s_hm) / h) - (s_p - s_m) / (2.0 * h)) / 3.0
     out = np.full(n, np.inf)
@@ -195,11 +190,70 @@ def single_call_profile(resource, loss, phis, obs):
 @pytest.mark.parametrize("kind", list(ObservableKind))
 @pytest.mark.parametrize("resource_kind", list(ResourceKind))
 def test_blocked_profile_equals_one_call(kind, resource_kind):
-    # The production stencil splits a 720-phase scan into blocks; each
-    # phase's result must not depend on that.
+    # The parity stencil splits a 720-phase scan into blocks, and the
+    # quadrature kernel works elementwise on its phases; each phase's result
+    # must not depend on either.
     resource = ResourceSpec.from_energy(resource_kind, 6.0, 0.4)
     loss = LossModel(0.8, 0.65)
     phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     obs = make_observable(kind, 0.7, 2.1)
     blocked = sensitivity_profile(resource, loss, phis, obs)
-    assert np.array_equal(blocked, single_call_profile(resource, loss, phis, obs))
+    if kind is ObservableKind.PARITY_A:
+        assert np.array_equal(blocked, single_call_profile(resource, loss, phis))
+    else:
+        edges = [0, 1, 8, 9, 200, 333, 719, 720]
+        batches = [sensitivity_profile(resource, loss, phis[a:b], obs) for a, b in zip(edges, edges[1:])]
+        assert np.array_equal(blocked, np.concatenate(batches))
+
+
+@given(resource=resources(), eta_a=transmissivities, eta_b=transmissivities, phi=phases)
+@settings(max_examples=150, deadline=None)
+def test_phase_coefficients_reproduce_output_grid(resource, eta_a, eta_b, phi):
+    loss = LossModel(eta_a, eta_b)
+    K, M = phase_coefficients(resource, loss)
+    c, s = math.cos(phi), math.sin(phi)
+    cov = sum(t * k for t, k in zip((1.0, c, s, c * c, s * s, c * s), K))
+    mean = M[0] + c * M[1] + s * M[2]
+    covs, means = output_grid(resource, loss, [phi])
+    assert np.all(np.abs(cov - covs[0]) <= 1e-14 * np.maximum(1.0, np.abs(covs[0])))
+    assert np.all(np.abs(mean - means[0]) <= 1e-14 * np.maximum(1.0, np.abs(means[0])))
+
+
+def complex_step_slope(resource, loss, phi, obs, h=1e-30):
+    """``d<O>/dphi`` as ``Im <O>(phi + ih) / h``, through a pipeline composed with complex phases."""
+    state = apply_symplectic(make_input(resource), beam_splitter(math.pi / 4.0))
+    state = apply_loss(state, loss.eta_a, loss.eta_b)
+    c, s = cmath.cos(complex(phi, h)), cmath.sin(complex(phi, h))
+    rotation = np.array([[c, s, 0, 0], [-s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    post = beam_splitter(-math.pi / 4.0) @ rotation
+    cov, mean = post @ state.cov @ post.T, post @ state.mean
+    wa = np.array([math.cos(obs.angle_a), math.sin(obs.angle_a)])
+    wb = np.array([math.cos(obs.angle_b), math.sin(obs.angle_b)])
+    ma, mb = wa @ mean[:2], wb @ mean[2:]
+    signal = {
+        ObservableKind.QUADRATURE_A: ma,
+        ObservableKind.QUADRATURE_SQUARED_A: wa @ cov[:2, :2] @ wa + ma * ma,
+        ObservableKind.PRODUCT_QUAD_AB: wa @ cov[:2, 2:] @ wb + ma * mb,
+        ObservableKind.SUM_QUAD_AB: ma + mb,
+    }[obs.kind]
+    return signal.imag / h
+
+
+@pytest.mark.parametrize("kind", [k for k in ObservableKind if k is not ObservableKind.PARITY_A])
+@given(
+    resource=resources(),
+    eta_a=transmissivities,
+    eta_b=transmissivities,
+    phi=phases,
+    angle_a=angles,
+    angle_b=angles,
+)
+@settings(max_examples=80, deadline=None)
+def test_exact_slope_matches_complex_step(kind, resource, eta_a, eta_b, phi, angle_a, angle_b):
+    loss = LossModel(eta_a, eta_b)
+    obs = make_observable(kind, angle_a, angle_b)
+    signal, variance = reference_signal_variance(reference_state(resource, phi, loss), obs)
+    slope = complex_step_slope(resource, loss, phi, obs)
+    assume(abs(slope) >= 0.03 * math.sqrt(variance + signal**2))
+    result = homodyne_sensitivity(InterferometerConfig(resource, phi, loss), obs)
+    assert result.slope == pytest.approx(slope, rel=1e-10)

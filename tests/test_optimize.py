@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -305,3 +306,43 @@ class TestRunSweep:
         )
         rows = run_sweep(spec)
         assert all(row.status in ("ok", "NoOptimum") for row in rows)
+
+
+class TestPipelineCallCounts:
+    """Which scheme points run the sampled pipeline, counted by wrapping ``output_grid``."""
+
+    @staticmethod
+    def count_phases(monkeypatch, attribute):
+        """Record the phase count of every call to ``attribute``, in each module that binds it."""
+        modules = [importlib.import_module("mzi_lab." + name) for name in ("interferometer", "measurements", "optimize")]
+        modules = [module for module in modules if hasattr(module, attribute)]
+        original = getattr(modules[0], attribute)
+        phases = []
+
+        def counted(*args, **kwargs):
+            phases.append(np.size(args[2]))
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, attribute, counted)
+        return phases
+
+    @pytest.mark.parametrize(
+        "scheme, kind",
+        [
+            (Scheme.SINGLE_HD, ResourceKind.CSV),
+            (Scheme.DOUBLE_HD, ResourceKind.CSV),
+            (Scheme.SINGLE_HD, ResourceKind.TMSV),
+        ],
+    )
+    def test_quadrature_points_evaluate_phase_coefficients_only(self, monkeypatch, scheme, kind):
+        grid = self.count_phases(monkeypatch, "output_grid")
+        scheme_sensitivity(scheme, kind, 5.0, LossModel.symmetric(0.8))
+        assert grid == []
+
+    def test_parity_point_runs_the_stencil(self, monkeypatch):
+        grid = self.count_phases(monkeypatch, "output_grid")
+        profile = self.count_phases(monkeypatch, "sensitivity_profile")
+        scheme_sensitivity(Scheme.PARITY, ResourceKind.TMSV, 5.0, LossModel.symmetric(0.8))
+        assert sum(profile) >= 720
+        assert sum(grid) == 5 * sum(profile)
