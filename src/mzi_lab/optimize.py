@@ -71,10 +71,20 @@ class LossKind(Enum):
         return LossModel.one_arm(eta)
 
 
-def _safe(fn):
+def _safe(fn, numeric_failures=None):
+    """``fn`` with library errors and non-finite values mapped to ``inf``.
+
+    ``numeric_failures``, when given, collects the message of each
+    :class:`NumericFailure`; a kept exception would keep its frames alive.
+    """
+
     def wrapped(x):
         try:
             value = fn(x)
+        except NumericFailure as exc:
+            if numeric_failures is not None:
+                numeric_failures.append(str(exc))
+            return math.inf
         except MziLabError:
             return math.inf
         if not math.isfinite(value):
@@ -340,56 +350,82 @@ def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
 
 
 def _cov_and_dmean(coefficients, phi):
-    """Output covariance and mean phase slope at ``phi``, a float or an array of phases."""
+    """Output covariance and mean phase slope at the phase ``phi``."""
     K, M = coefficients
-    trig = math if isinstance(phi, float) else np
-    c, s = trig.cos(phi), trig.sin(phi)
-    powers = np.array([np.ones(np.shape(phi)), c, s, c * c, s * s, c * s])
-    cov = (powers.T @ K.reshape(6, 16)).reshape(np.shape(phi) + (4, 4))
-    return cov, np.array([-s, c]).T @ M[1:]
+    c, s = math.cos(phi), math.sin(phi)
+    cov = (np.array([1.0, c, s, c * c, s * s, c * s]) @ K.reshape(6, 16)).reshape(4, 4)
+    return cov, np.array([-s, c]) @ M[1:]
+
+
+# The double-homodyne grid: 90 phases on [0, π), 2π/180 apart, and 12 × 24
+# LO angles 2π/24 apart (θa on [0, π), θb on [0, 2π)).  A cell's variance is
+# Σ_k T_k(φ)·wᵀK[k]w and its slope (-sin φ·M[1] + cos φ·M[2])ᵀw, with
+# w = (cos θa, sin θa, cos θb, sin θb), so each (resource, loss) needs only
+# two small tables over the angle cells; the phase rows are fixed.
+_GRID_PHIS = np.linspace(0.0, math.pi, 90, endpoint=False)
+_GRID_TRIG = np.column_stack([
+    np.ones(90), np.cos(_GRID_PHIS), np.sin(_GRID_PHIS), np.cos(_GRID_PHIS) ** 2,
+    np.sin(_GRID_PHIS) ** 2, np.cos(_GRID_PHIS) * np.sin(_GRID_PHIS),
+])
+_GRID_DTRIG = np.column_stack([-np.sin(_GRID_PHIS), np.cos(_GRID_PHIS)])
+_THETAS = np.linspace(0.0, _TWO_PI, 24, endpoint=False)
+_THETA_A, _THETA_B = np.meshgrid(_THETAS[:12], _THETAS, indexing="ij")  # cells in (θa, θb) order
+_GRID_W = np.array([np.cos(_THETA_A), np.sin(_THETA_A), np.cos(_THETA_B), np.sin(_THETA_B)]).reshape(4, 288)
+_GRID_WW = (_GRID_W[:, None] * _GRID_W[None]).reshape(16, 288)  # vec(w·wᵀ) per cell
+
+#: Phases per slab of the grid scan.  Its (30, 288) temporaries (69 kB) stay
+#: below glibc's 128 KiB mmap threshold, where the whole grid's would map
+#: and fault in fresh pages on every call; at 45 phases two of them freed
+#: together pass the 128 KiB trim threshold and the heap top is returned.
+_GRID_SLAB = 30
+
+
+def _double_hd_grid(coefficients):
+    """Best cell of the double-homodyne grid, as ``(value, phi, theta_a, theta_b)``.
+
+    Ties go to the first cell in (φ, θa, θb) order.
+
+    Raises:
+        NoOptimum: if every cell is blind.
+    """
+    K, M = coefficients
+    variance_table = K.reshape(6, 16) @ _GRID_WW
+    slope_table = M[1:] @ _GRID_W
+    best, best_value = None, np.inf
+    for start in range(0, 90, _GRID_SLAB):
+        rows = slice(start, start + _GRID_SLAB)
+        values = _GRID_TRIG[rows] @ variance_table
+        slope = _GRID_DTRIG[rows] @ slope_table
+        blind = np.abs(slope) < DEGENERATE_SLOPE
+        slope *= slope
+        if blind.any():  # inf / 1 there, and no division by a vanishing slope
+            values[blind], slope[blind] = np.inf, 1.0
+        values /= slope
+        cell = int(np.argmin(values))
+        if values.flat[cell] < best_value:
+            best_value, best = values.flat[cell], (start + cell // 288, cell % 288 // 24, cell % 24)
+    if best is None:
+        raise NoOptimum("quadrature-sum scheme is blind everywhere on the grid")
+    i, j, k = best
+    angle_spacing = _TWO_PI / 24
+    return best_value, _GRID_PHIS[i], j * angle_spacing, k * angle_spacing
 
 
 def _min_double_hd(resource, loss):
     """Jointly optimize phase and both LO angles for the quadrature-sum scheme.
 
-    The error does not change under (θa, θb) → (θa + π, θb + π), so a grid
-    of 180 phases × 12 values of θa in [0, π) × 24 values of θb in [0, 2π)
-    holds every distinct setting once; it locates the basin.  Golden section
-    and the parabola polish then refine φ, and at every phase they try,
+    The error does not change under (θa, θb) → (θa + π, θb + π), nor under
+    (φ, θa, θb) → (φ + π, θb, θa): a π phase on arm a swaps the output ports
+    up to signs.  So the grid of :func:`_double_hd_grid`, 90 phases in
+    [0, π) × 12 values of θa in [0, π) × 24 values of θb in [0, 2π), holds
+    every distinct setting once; it locates the basin.  Golden section and
+    the parabola polish then refine φ, and at every phase they try,
     :func:`_refine_sum_quad_angles` refines the angles, cold from the grid's
     best cell the first time and warm from the previous phase's angles after.
     """
     coefficients = phase_coefficients(resource, loss)
-    phis = np.linspace(0.0, _TWO_PI, 180, endpoint=False)
-    covs, dmeans = _cov_and_dmean(coefficients, phis)
-    thetas = np.linspace(0.0, _TWO_PI, 24, endpoint=False)
-    wb = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    wa = wb[:12]
-
-    # A slab of 30 phases at a time: its (30, 12, 24) temporaries (69 kB)
-    # stay below glibc's mmap threshold, where the whole grid's (414 kB)
-    # would map and fault in fresh pages on every call.
-    slab = 30
-    best, best_value = None, np.inf
-    for start in range(0, phis.shape[0], slab):
-        c, d = covs[start : start + slab], dmeans[start : start + slab]
-        va = np.einsum("ui,nij,uj->nu", wa, c[:, :2, :2], wa)
-        vb = np.einsum("vi,nij,vj->nv", wb, c[:, 2:, 2:], wb)
-        variance = va[:, :, None] + vb[:, None, :] + 2.0 * (wa @ c[:, :2, 2:] @ wb.T)
-        slope = (d[:, :2] @ wa.T)[:, :, None] + (d[:, 2:] @ wb.T)[:, None, :]
-        values = np.full(variance.shape, np.inf)
-        np.divide(variance, slope * slope, out=values, where=np.abs(slope) >= DEGENERATE_SLOPE)
-        cell = int(np.argmin(values))
-        if values.flat[cell] < best_value:
-            best_value = values.flat[cell]
-            i, j, k = np.unravel_index(cell, values.shape)
-            best = start + i, j, k
-    if best is None:
-        raise NoOptimum("quadrature-sum scheme is blind everywhere on the grid")
-    i, j, k = best
-    angle_spacing = _TWO_PI / 24
-
-    state = {"ta": j * angle_spacing, "tb": k * angle_spacing, "warm": False}
+    _, phi0, theta_a, theta_b = _double_hd_grid(coefficients)
+    state = {"ta": theta_a, "tb": theta_b, "warm": False}
 
     def fn(phi):
         cov, dmean = _cov_and_dmean(coefficients, phi)
@@ -398,7 +434,7 @@ def _min_double_hd(resource, loss):
         return value
 
     spacing = _TWO_PI / 180
-    phi_star, value = _refine_minimum(fn, phis[i] - spacing, phis[i] + spacing, tol=2e-4)
+    phi_star, value = _refine_minimum(fn, phi0 - spacing, phi0 + spacing, tol=2e-4)
     return phi_star, value, (state["ta"] % _TWO_PI, state["tb"] % _TWO_PI)
 
 
@@ -467,8 +503,14 @@ def _minimize_over_mu(value_fn, tol=1e-5, seed=None):
     A ``seed`` from a nearby configuration restricts the search to a local
     bracket; if the minimum then sticks to an interior bracket edge (the
     optimum drifted further than expected), the full grid scan is rerun.
+
+    Raises:
+        NumericFailure: if the search ends with no finite value and some
+            probe failed numerically.
+        NoOptimum: if it ends with no finite value otherwise.
     """
-    fn = _safe(value_fn)
+    numeric_failures = []
+    fn = _safe(value_fn, numeric_failures)
     if seed is not None:
         lo, hi = max(seed - 0.08, 0.0), min(seed + 0.08, 1.0)
         mu, value = golden_section(fn, lo, hi, tol)
@@ -479,13 +521,17 @@ def _minimize_over_mu(value_fn, tol=1e-5, seed=None):
     grid = np.linspace(0.0, 1.0, 21)
     values = [fn(m) for m in grid]
     i = int(np.argmin(values))
-    if not math.isfinite(values[i]):
-        raise NoOptimum("scheme is degenerate for every squeezing fraction")
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    mu, value = golden_section(fn, lo, hi, tol)
-    if not math.isfinite(value):
-        raise NoOptimum("scheme is degenerate for every squeezing fraction")
-    return min(max(mu, 0.0), 1.0), value
+    if math.isfinite(values[i]):
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        mu, value = golden_section(fn, lo, hi, tol)
+        if math.isfinite(value):
+            return min(max(mu, 0.0), 1.0), value
+    if numeric_failures:  # roundoff, not the scheme, may have hidden a usable fraction
+        raise NumericFailure(
+            f"no squeezing fraction gave a usable error "
+            f"({len(numeric_failures)} failed numerically: {numeric_failures[0]})"
+        )
+    raise NoOptimum("scheme is degenerate for every squeezing fraction")
 
 
 def scheme_sensitivity(

@@ -30,6 +30,12 @@ __all__ = [
 # the numerically stable fidelity branch.
 _PURITY_TOL = 1e-9
 
+#: Largest ``1 - F`` at a fidelity step that :func:`qfi_numeric` accepts.
+#: Up to it the estimate is within 5e-5 relative of the closed forms for
+#: CSV and TMSV inputs, lossless or lossy, and within 1e-6 of 2·n̄ for a
+#: lossless coherent state.
+_SATURATED_INFIDELITY = 5e-3
+
 
 class QfiMethod(Enum):
     NUMERIC_FIDELITY = "numeric-fidelity"
@@ -111,6 +117,13 @@ def qfi_numeric(
     the fidelity is even in the step, so this cancels the leading O(d^2) bias
     and leaves the step free to be chosen large enough that roundoff in the
     fidelity (absolute, around 1e-13) stays far below ``1 - F``.
+
+    Raises:
+        NumericFailure: if ``1 - F`` at a step exceeds
+            ``_SATURATED_INFIDELITY``: the fidelity is then no longer
+            quadratic in the step, and the estimate falls short (for a
+            coherent state, by 2.6e-5 relative at 1 - F = 0.025 and by
+            80 % at nbar = 1e8).
     """
     if dphi <= 0.0:
         raise InvalidArgument(f"dphi must be > 0, got {dphi}")
@@ -118,7 +131,10 @@ def qfi_numeric(
 
     def estimate(step):
         shifted = output_state(InterferometerConfig(resource, phi + step, loss))
-        return 8.0 * (1.0 - bures_fidelity(base, shifted)) / step**2
+        infidelity = 1.0 - bures_fidelity(base, shifted)
+        if not infidelity <= _SATURATED_INFIDELITY:
+            raise NumericFailure(f"fidelity step saturates: 1 - F = {infidelity:.3g} at dphi = {step:g}")
+        return 8.0 * infidelity / step**2
 
     coarse = estimate(dphi)
     fine = estimate(dphi / 2.0)

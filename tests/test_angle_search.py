@@ -3,8 +3,9 @@
 The quadrature-sum error ``f(θa, θb) = Var/slope²`` is minimized by Newton's
 method with analytic derivatives, with Nelder-Mead as the fallback.  These
 tests check the derivatives against central differences of ``f`` itself,
-the mirror symmetry that lets the angle grid cover θa ∈ [0, π) only, and
-that Newton lands no higher than the simplex search from the same start.
+the two symmetries that let the grid cover θa ∈ [0, π) and φ ∈ [0, π) only,
+that the tabulated grid finds the best cell of the full grid, and that
+Newton lands no higher than the simplex search from the same start.
 """
 
 import math
@@ -15,15 +16,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mzi_lab import LossModel, ResourceKind, ResourceSpec
-from mzi_lab import optimize
+from mzi_lab import interferometer, optimize
 from mzi_lab.interferometer import phase_coefficients
+from mzi_lab.measurements import DEGENERATE_SLOPE
 from mzi_lab.optimize import (
     _COLD_ANGLE_CAP,
     _cov_and_dmean,
+    _double_hd_grid,
     _newton_angles,
     _refine_sum_quad_angles,
     _sum_quad_objective,
 )
+from conftest import random_physical_state
 
 
 def output_moments(nbar, mu, eta_a, eta_b, phi):
@@ -100,6 +104,76 @@ def test_error_is_unchanged_by_turning_both_angles_by_pi(config, ta, tb):
     assume(slope_ratio(dmean, ta, tb) >= 1e-3)
     local = _sum_quad_objective(cov, dmean)
     assert local(ta + math.pi, tb + math.pi)[0] == pytest.approx(local(ta, tb)[0], rel=1e-12, abs=0.0)
+
+
+resources = st.tuples(
+    st.sampled_from([ResourceKind.CSV, ResourceKind.TMSV, ResourceKind.COHERENT]),
+    st.floats(0.1, 20.0),  # nbar
+    st.floats(0.0, 0.9),  # mu, read for CSV only
+    st.floats(0.3, 1.0),  # eta_a
+    st.floats(0.3, 1.0),  # eta_b
+)
+
+
+@given(config=resources, phi=st.floats(0.0, 2.0 * math.pi), ta=angles, tb=angles)
+@settings(max_examples=200, deadline=None)
+def test_pi_phase_swaps_the_output_ports(config, phi, ta, tb):
+    kind, nbar, mu, eta_a, eta_b = config
+    coefficients = phase_coefficients(ResourceSpec.from_energy(kind, nbar, mu), LossModel(eta_a, eta_b))
+    cov, dmean = _cov_and_dmean(coefficients, phi + math.pi)
+    swapped_cov, swapped_dmean = _cov_and_dmean(coefficients, phi)
+    w = np.array([math.cos(ta), math.sin(ta), math.cos(tb), math.sin(tb)])
+    swapped_w = np.concatenate([w[2:], w[:2]])
+    # The variance is checked for every input; a TMSV has no mean and no slope.
+    assert w @ cov @ w == pytest.approx(swapped_w @ swapped_cov @ swapped_w, rel=1e-12, abs=0.0)
+    if kind is not ResourceKind.TMSV and slope_ratio(dmean, ta, tb) >= 1e-3:
+        swapped = _sum_quad_objective(swapped_cov, swapped_dmean)(tb, ta)[0]
+        assert _sum_quad_objective(cov, dmean)(ta, tb)[0] == pytest.approx(swapped, rel=1e-12, abs=0.0)
+
+
+def full_grid_minimum(coefficients):
+    """Smallest error over 180 phases on [0, 2π) × 12 θa on [0, π) × 24 θb on [0, 2π)."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    wb = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    wa = wb[:12]
+    best = math.inf
+    for phi in np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False):
+        cov, dmean = _cov_and_dmean(coefficients, float(phi))
+        va = np.einsum("ui,ij,uj->u", wa, cov[:2, :2], wa)
+        vb = np.einsum("vi,ij,vj->v", wb, cov[2:, 2:], wb)
+        variance = va[:, None] + vb[None, :] + 2.0 * (wa @ cov[:2, 2:] @ wb.T)
+        slope = (wa @ dmean[:2])[:, None] + (wb @ dmean[2:])[None, :]
+        seen = np.abs(slope) >= DEGENERATE_SLOPE
+        if seen.any():
+            best = min(best, float(np.min(variance[seen] / slope[seen] ** 2)))
+    return best
+
+
+def assert_grid_finds_the_full_grid_minimum(coefficients):
+    value, phi, ta, tb = _double_hd_grid(coefficients)
+    assert 0.0 <= phi < math.pi and 0.0 <= ta < math.pi and 0.0 <= tb < 2.0 * math.pi
+    assert value == pytest.approx(full_grid_minimum(coefficients), rel=1e-12, abs=0.0)
+    assert value == pytest.approx(_sum_quad_objective(*_cov_and_dmean(coefficients, float(phi)))(ta, tb)[0], rel=1e-12)
+
+
+@given(config=configurations)
+@settings(max_examples=60, deadline=None)
+def test_half_period_grid_finds_the_full_grid_minimum(config):
+    nbar, mu, eta_a, eta_b, _ = config
+    resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, mu)
+    assert_grid_finds_the_full_grid_minimum(phase_coefficients(resource, LossModel(eta_a, eta_b)))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_half_period_grid_holds_for_any_state_at_the_phase_shifter(seed):
+    # CSV optima sit near φ = π/2; a random mixed, displaced state puts the
+    # optimum anywhere, so a grid that missed some phases would show here.
+    state = random_physical_state(np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interferometer, "_post_loss_cov_mean", lambda resource, loss: (state.cov, state.mean))
+        coefficients = phase_coefficients(None, None)
+    assert_grid_finds_the_full_grid_minimum(coefficients)
 
 
 def nelder_mead_only(monkeypatch, cov, dmean, ta, tb):

@@ -299,6 +299,18 @@ class TestNonFiniteAndHugeEnergy:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # Every squeezing fraction but the blind mu = 1 fails in roundoff: the
+        # failure is numeric, not a scheme that is degenerate everywhere.
+        assert captured.err.startswith("error: no squeezing fraction gave a usable error (")
+        assert "failed numerically: phase optimum" in captured.err and "degenerate" not in captured.err
+
+    def test_huge_energy_coherent_qfi_is_an_error(self, capsys):
+        # 1 - F saturates at 1, so the fidelity route cannot resolve the information.
+        code = main(["point", "--scheme", "qfi", "--resource", "coherent", "--nbar", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: fidelity step saturates: 1 - F = 1 at dphi = 0.001\n"
 
     def test_huge_energy_homodyne_sweep_rows_fail(self, capsys):
         code, out = run_cli(

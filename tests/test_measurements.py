@@ -195,16 +195,27 @@ _FAULT_PROBE = textwrap.dedent(
     import resource
     from mzi_lab import LossModel, ResourceKind, Scheme, scheme_sensitivity
 
-    def op():
-        scheme_sensitivity(Scheme.SINGLE_HD, ResourceKind.TMSV, 5.0, LossModel.symmetric(0.8))
+    def op(nbar):
+        scheme_sensitivity(Scheme.{scheme}, ResourceKind.{kind}, nbar, LossModel.symmetric(0.8))
 
-    op()
+    op(4.0)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
-        op()
-    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+    for nbar in {nbars}:
+        op(nbar)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len({nbars}))
     """
 )
+
+
+def minor_faults_per_op(scheme, kind, nbars):
+    """Minor page faults per ``scheme_sensitivity`` call after a warm-up call, in a fresh interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = _FAULT_PROBE.format(scheme=scheme, kind=kind, nbars=nbars)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    return float(proc.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mmap threshold is Linux behaviour")
@@ -212,9 +223,11 @@ def test_phase_scan_reuses_heap_memory():
     # A 720-phase scan is 3,600 stencil phases; as one output_grid call its
     # temporaries exceed glibc's mmap threshold, and every scan then maps
     # and unmaps fresh pages (about 400 minor faults per point).
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True, env=env, timeout=120, check=True
-    )
-    assert float(proc.stdout) < 50.0
+    assert minor_faults_per_op("SINGLE_HD", "TMSV", [5.0] * 10) < 50.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mmap threshold is Linux behaviour")
+def test_double_homodyne_grid_reuses_heap_memory():
+    # Each new n̄ is a cold point: a full squeezing-fraction search, every
+    # probe a fresh double-homodyne grid scan.
+    assert minor_faults_per_op("DOUBLE_HD", "CSV", [5.0, 6.0, 7.0, 8.0, 9.0]) < 50.0

@@ -103,6 +103,36 @@ class TestLosslessQfi:
             qfi_numeric(ResourceSpec.tmsv(0.7), 0.2, LossModel.lossless(), dphi=0.0)
 
 
+class TestSaturatedFidelity:
+    """``qfi_numeric`` refuses a fidelity step with 1 - F above 5e-3 and is accurate below it."""
+
+    @pytest.mark.parametrize(
+        "kind, nbar, loss",
+        [
+            (ResourceKind.CSV, 120.0, LossModel.lossless()),  # 1 - F = 3.6e-3
+            (ResourceKind.TMSV, 130.0, LossModel.lossless()),  # 4.2e-3
+            (ResourceKind.CSV, 8000.0, LossModel.symmetric(0.8)),  # 4.8e-3
+            (ResourceKind.TMSV, 5000.0, LossModel.one_arm(0.8)),  # 5.0e-3
+        ],
+    )
+    def test_closed_forms_hold_up_to_the_bound(self, kind, nbar, loss):
+        resource = ResourceSpec.from_energy(kind, nbar, 1.0)
+        assert qfi_numeric(resource, 0.0, loss).qfi == pytest.approx(qfi_closed(resource, loss).qfi, rel=5e-5)
+
+    def test_coherent_state_at_half_the_bound(self):
+        resource = ResourceSpec.from_energy(ResourceKind.COHERENT, 1e4)  # 1 - F = 2.5e-3
+        assert qfi_numeric(resource, 0.0, LossModel.lossless()).qfi == pytest.approx(2e4, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "kind, nbar",
+        [(ResourceKind.COHERENT, 1e5), (ResourceKind.COHERENT, 1e300), (ResourceKind.CSV, 300.0)],
+    )
+    def test_saturated_step_is_a_numeric_failure(self, kind, nbar):
+        resource = ResourceSpec.from_energy(kind, nbar, 1.0)
+        with pytest.raises(NumericFailure, match="saturates"):
+            qfi_numeric(resource, 0.0, LossModel.lossless())
+
+
 class TestClosedForms:
     def test_tmsv_lossless_limit(self):
         resource = ResourceSpec.tmsv(0.9)
