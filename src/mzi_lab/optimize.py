@@ -497,12 +497,23 @@ def optimal_csv_ratio(nbar, loss: LossModel, tol=1e-6):
     return mu_star, -neg
 
 
-def _minimize_over_mu(value_fn, tol=1e-5, seed=None):
+class _BelowTarget(Exception):
+    """Carries ``(mu, value)`` of the squeezing-fraction probe that met ``stop_below``."""
+
+
+def _minimize_over_mu(value_fn, tol=1e-5, seed=None, stop_below=None):
     """Minimize a sensitivity over the CSV energy fraction mu in [0, 1].
 
     A ``seed`` from a nearby configuration restricts the search to a local
     bracket; if the minimum then sticks to an interior bracket edge (the
     optimum drifted further than expected), the full grid scan is rerun.
+
+    With ``stop_below``, the search returns ``(mu, value)`` of the first
+    probe whose value is below it, since that probe already proves the
+    minimum is; otherwise it runs probe for probe as without the target.
+    The ends mu = 0 and 1 never stop it.  The full search never returns
+    them (golden-section probes are interior), and at mu = 0, a coherent
+    state, the double-homodyne error ties the SNL to roundoff.
 
     Raises:
         NumericFailure: if the search ends with no finite value and some
@@ -510,7 +521,21 @@ def _minimize_over_mu(value_fn, tol=1e-5, seed=None):
         NoOptimum: if it ends with no finite value otherwise.
     """
     numeric_failures = []
-    fn = _safe(value_fn, numeric_failures)
+    safe_fn = _safe(value_fn, numeric_failures)
+
+    def fn(mu):
+        value = safe_fn(mu)
+        if stop_below is not None and value < stop_below and 0.0 < mu < 1.0:
+            raise _BelowTarget(float(mu), value)
+        return value
+
+    try:
+        return _mu_search(fn, tol, seed, numeric_failures)
+    except _BelowTarget as hit:
+        return hit.args
+
+
+def _mu_search(fn, tol, seed, numeric_failures):
     if seed is not None:
         lo, hi = max(seed - 0.08, 0.0), min(seed + 0.08, 1.0)
         mu, value = golden_section(fn, lo, hi, tol)
@@ -542,12 +567,16 @@ def scheme_sensitivity(
     mu="optimize",
     mu_tol=1e-5,
     mu_seed=None,
+    mu_stop_below=None,
 ) -> SchemePoint:
     """Fully optimized estimation error of a scheme at fixed energy and loss.
 
     The phase (and, for the CSV double-homodyne scheme, both LO angles) is
     always optimized.  For CSV resources ``mu`` selects the squeezing
-    fraction: ``"optimize"`` searches it per call, a float pins it.
+    fraction: ``"optimize"`` searches it per call, a float pins it.  With
+    ``mu_stop_below`` that search stops at the first fraction whose error is
+    below it, so the point then shows only that the optimum is below it too;
+    the QFI scheme's search ignores it.
 
     Returns:
         A :class:`SchemePoint`; ``phi_star`` is ``nan`` for the QFI scheme,
@@ -575,7 +604,7 @@ def scheme_sensitivity(
             return value
 
         if mu == "optimize":
-            mu_value, value = _minimize_over_mu(value_at, tol=mu_tol, seed=mu_seed)
+            mu_value, value = _minimize_over_mu(value_at, tol=mu_tol, seed=mu_seed, stop_below=mu_stop_below)
         else:
             mu_value = float(mu)
             value = value_at(mu_value)
@@ -591,16 +620,19 @@ def scheme_sensitivity(
 def _chain(scheme, kind, optimize_mu=True, mu_tol=1e-5):
     """The squeezing-fraction rule for a run of nearby points of one cell.
 
-    Returns ``point(nbar, loss) -> SchemePoint``.  Only a CSV resource has a
-    squeezing fraction.  With ``optimize_mu`` it is searched at every point,
-    warm-started from the previous point's optimum; otherwise it is pinned at
-    the scheme's lossless optimum, computed once per ``nbar``, and that
-    lossless point is itself the chain's answer at zero loss.
+    Returns ``point(nbar, loss, stop_below=None) -> SchemePoint``.  Only a CSV
+    resource has a squeezing fraction.  With ``optimize_mu`` it is searched
+    at every point, warm-started from the fraction the previous point
+    returned; otherwise it is pinned at the scheme's lossless optimum,
+    computed once per ``nbar``, and that lossless point is itself the chain's
+    answer at zero loss.  ``stop_below`` ends a point's search at the first
+    fraction whose error is below it (see :func:`scheme_sensitivity`), so
+    the next point is then seeded from that last probe, not from an optimum.
     """
     last_mu = None
     pins = {}
 
-    def point(nbar, loss):
+    def point(nbar, loss, stop_below=None):
         nonlocal last_mu
         if kind is not ResourceKind.CSV:
             return scheme_sensitivity(scheme, kind, nbar, loss)
@@ -610,7 +642,9 @@ def _chain(scheme, kind, optimize_mu=True, mu_tol=1e-5):
             if loss.is_lossless:
                 return pins[nbar]
             return scheme_sensitivity(scheme, kind, nbar, loss, mu=pins[nbar].mu)
-        result = scheme_sensitivity(scheme, kind, nbar, loss, mu_tol=mu_tol, mu_seed=last_mu)
+        result = scheme_sensitivity(
+            scheme, kind, nbar, loss, mu_tol=mu_tol, mu_seed=last_mu, mu_stop_below=stop_below
+        )
         last_mu = result.mu
         return result
 
@@ -650,6 +684,11 @@ def snl_threshold(
     the scheme at zero loss raises; at any larger loss it counts as not
     beating the SNL.
 
+    Each step decides only the sign of the optimized error minus the SNL.
+    A CSV squeezing-fraction search therefore stops at the first fraction
+    that beats the SNL, and runs in full only on steps that do not; the
+    next step is seeded from the last fraction probed.
+
     Raises:
         InvalidArgument: if ``tol`` is not a finite positive number.
         MziLabError: if the scheme cannot be evaluated at zero loss.
@@ -663,11 +702,11 @@ def snl_threshold(
 
     def gap(loss_rate):
         try:
-            return point(nbar, loss_kind.model(loss_rate)).delta2phi - target
+            return point(nbar, loss_kind.model(loss_rate), stop_below=target).delta2phi - target
         except MziLabError:
             return math.inf
 
-    if point(nbar, loss_kind.model(0.0)).delta2phi - target >= 0.0:
+    if point(nbar, loss_kind.model(0.0), stop_below=target).delta2phi - target >= 0.0:
         return ThresholdResult(math.nan, (0.0, 0.0), 0, "no-crossing")
 
     lo = 0.0

@@ -304,6 +304,25 @@ class TestNonFiniteAndHugeEnergy:
         assert captured.err.startswith("error: no squeezing fraction gave a usable error (")
         assert "failed numerically: phase optimum" in captured.err and "degenerate" not in captured.err
 
+    @pytest.mark.parametrize("scheme", ["single-hd", "double-hd"])
+    def test_huge_energy_csv_threshold_is_an_error(self, scheme):
+        # At mu = 0 the double-homodyne error ties the SNL to roundoff; that
+        # probe must not settle the zero-loss step that every other fraction fails.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mzi_lab.cli", "threshold", "--scheme", scheme, "--resource", "csv",
+             "--nbar", "1e300"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: no squeezing fraction gave a usable error (")
+        assert proc.stderr.count("\n") == 1
+
     def test_huge_energy_coherent_qfi_is_an_error(self, capsys):
         # 1 - F saturates at 1, so the fidelity route cannot resolve the information.
         code = main(["point", "--scheme", "qfi", "--resource", "coherent", "--nbar", "1e300"])

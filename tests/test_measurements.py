@@ -231,3 +231,11 @@ def test_double_homodyne_grid_reuses_heap_memory():
     # Each new n̄ is a cold point: a full squeezing-fraction search, every
     # probe a fresh double-homodyne grid scan.
     assert minor_faults_per_op("DOUBLE_HD", "CSV", [5.0, 6.0, 7.0, 8.0, 9.0]) < 50.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mmap threshold is Linux behaviour")
+@pytest.mark.parametrize("kind, nbars", [("TMSV", [5.0] * 10), ("CSV", [5.0, 6.0, 7.0])], ids=["TMSV", "CSV"])
+def test_parity_stencil_reuses_heap_memory(kind, nbars):
+    # Parity is the one observable whose phase scan still runs the stencil
+    # through output_grid; the quadrature scans above no longer do.
+    assert minor_faults_per_op("PARITY", kind, nbars) < 50.0

@@ -22,8 +22,8 @@ from mzi_lab import (
     snl_threshold,
 )
 from mzi_lab import optimize
-from mzi_lab.errors import DegenerateWorkingPoint
-from mzi_lab.optimize import _chain, golden_section
+from mzi_lab.errors import DegenerateWorkingPoint, MziLabError
+from mzi_lab.optimize import ThresholdResult, _chain, _minimize_over_mu, golden_section
 
 
 class TestGoldenSection:
@@ -196,6 +196,150 @@ class TestSnlThreshold:
         pin = point(5.0, LossKind.SYMMETRIC.model(0.0))
         monkeypatch.setattr(optimize, "scheme_sensitivity", None)  # no second evaluation
         assert point(5.0, LossModel.lossless()) is pin
+
+
+def recorded(fn):
+    """``fn`` and the list of ``(mu, value)`` probes it is called with."""
+    probes = []
+
+    def probe(mu):
+        value = fn(mu)
+        probes.append((mu, value))
+        return value
+
+    return probe, probes
+
+
+def basin(mu):
+    return 1.0 + (mu - 0.37) ** 2
+
+
+class TestMuSearchTarget:
+    @pytest.mark.parametrize("seed", [None, 0.3])
+    @pytest.mark.parametrize("target", [1.0 + 1e-3, 1.0 + 1e-7])  # a grid probe first, golden probes only
+    def test_returns_the_first_probe_below_the_target(self, seed, target):
+        full, probes = recorded(basin)
+        _minimize_over_mu(full, seed=seed)
+        k = next(i for i, (mu, value) in enumerate(probes) if value < target)
+        assert k >= 2
+        early, early_probes = recorded(basin)
+        assert _minimize_over_mu(early, seed=seed, stop_below=target) == probes[k]
+        assert early_probes == probes[: k + 1]
+
+    @pytest.mark.parametrize("seed", [None, 0.3])
+    def test_target_below_every_probe_changes_nothing(self, seed):
+        full, probes = recorded(basin)
+        expected = _minimize_over_mu(full, seed=seed)
+        for target in (1.0, -math.inf):
+            early, early_probes = recorded(basin)
+            assert _minimize_over_mu(early, seed=seed, stop_below=target) == expected
+            assert early_probes == probes
+
+    @pytest.mark.parametrize("seed", [None, 0.6])
+    def test_scheme_point_is_bit_identical_without_a_reachable_target(self, seed):
+        loss = LossModel.symmetric(0.8)
+        expected = scheme_sensitivity(Scheme.SINGLE_HD, ResourceKind.CSV, 5.0, loss, mu_seed=seed)
+        point = scheme_sensitivity(Scheme.SINGLE_HD, ResourceKind.CSV, 5.0, loss, mu_seed=seed, mu_stop_below=0.0)
+        assert (point.mu, point.delta2phi, point.phi_star) == (expected.mu, expected.delta2phi, expected.phi_star)
+
+    def test_the_ends_never_stop_the_search(self):
+        # Only mu = 0 is below the target; the search runs on as without it.
+        full, probes = recorded(lambda mu: mu + 1.0)
+        expected = _minimize_over_mu(full)
+        early, early_probes = recorded(lambda mu: mu + 1.0)
+        assert _minimize_over_mu(early, stop_below=1.0 + 1e-12) == expected
+        assert early_probes == probes
+
+    @pytest.mark.parametrize(
+        "error, raised",
+        [(NumericFailure("roundoff"), NumericFailure), (DegenerateWorkingPoint("blind"), NoOptimum)],
+    )
+    def test_failures_are_unchanged(self, error, raised):
+        def failing(mu):
+            raise error
+
+        messages = []
+        for target in (None, 1.0):
+            with pytest.raises(raised) as excinfo:
+                _minimize_over_mu(failing, stop_below=target)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+
+
+def full_search_threshold(scheme, kind, nbar, loss_kind, tol=1e-3):
+    """``snl_threshold``'s scan and bisection, each step a full squeezing-fraction search."""
+    target = snl(nbar)
+    point = _chain(scheme, kind)
+
+    def gap(loss_rate):
+        try:
+            return point(nbar, loss_kind.model(loss_rate)).delta2phi - target
+        except MziLabError:
+            return math.inf
+
+    if point(nbar, loss_kind.model(0.0)).delta2phi - target >= 0.0:
+        return ThresholdResult(math.nan, (0.0, 0.0), 0, "no-crossing")
+    lo, hi, iterations = 0.0, optimize._SCAN_STEP, 0
+    while hi < 1.0:
+        iterations += 1
+        if gap(min(hi, 1.0 - 1e-9)) >= 0.0:
+            break
+        lo, hi = hi, hi + optimize._SCAN_STEP
+    else:
+        hi = 1.0 - 1e-9
+        iterations += 1
+        if gap(hi) < 0.0:
+            return ThresholdResult(math.nan, (lo, 1.0), iterations, "no-crossing")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
+        iterations += 1
+        if gap(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return ThresholdResult((lo + hi) / 2.0, (lo, hi), iterations, "crossed")
+
+
+_CSV_HOMODYNE_THRESHOLDS = [
+    (scheme, nbar, loss_kind)
+    for scheme in (Scheme.SINGLE_HD, Scheme.DOUBLE_HD)
+    for nbar in (5.0, 10.0)
+    for loss_kind in LossKind
+]
+
+
+class TestThresholdStopsAtTheSnl:
+    """Thresholds whose squeezing-fraction searches stop at the first fraction that beats the SNL."""
+
+    @pytest.mark.parametrize(
+        "scheme, nbar, loss_kind", _CSV_HOMODYNE_THRESHOLDS + [(Scheme.PARITY, 10.0, LossKind.SYMMETRIC)]
+    )
+    def test_matches_full_searches(self, scheme, nbar, loss_kind):
+        result = snl_threshold(scheme, ResourceKind.CSV, nbar, loss_kind)
+        reference = full_search_threshold(scheme, ResourceKind.CSV, nbar, loss_kind)
+        assert result.status == reference.status == "crossed"
+        assert (result.loss_rate, result.bracket, result.iterations) == (
+            reference.loss_rate, reference.bracket, reference.iterations
+        )
+
+    def test_makes_at_most_half_the_probes(self, monkeypatch):
+        probes = [0]
+        original = optimize._measurement_optimum
+
+        def counted(scheme, resource, loss):
+            probes[0] += 1
+            return original(scheme, resource, loss)
+
+        monkeypatch.setattr(optimize, "_measurement_optimum", counted)
+        cases = [case for case in _CSV_HOMODYNE_THRESHOLDS if case[1] == 10.0]
+        for scheme, nbar, loss_kind in cases:
+            snl_threshold(scheme, ResourceKind.CSV, nbar, loss_kind)
+        early, probes[0] = probes[0], 0
+        for scheme, nbar, loss_kind in cases:
+            full_search_threshold(scheme, ResourceKind.CSV, nbar, loss_kind)
+        assert early <= probes[0] / 2
 
 
 class TestRunSweep:
