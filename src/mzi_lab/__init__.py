@@ -24,10 +24,9 @@ from .measurements import (
     Observable,
     ObservableKind,
     SensitivityResult,
-    double_hd_csv_sensitivity,
-    homodyne_sensitivity,
     parity_expectation,
-    parity_sensitivity,
+    sensitivity,
+    sensitivity_profile,
 )
 from .optimize import (
     LossKind,

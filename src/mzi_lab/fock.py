@@ -151,8 +151,11 @@ def build_fock_input(spec: ResourceSpec, cutoff: int) -> FockState:
     """The input resource as a one-column factor, renormalized after truncation.
 
     Raises:
+        InvalidArgument: if ``cutoff`` is below 1.
         CutoffTooSmall: if more than 1e-8 of the state leaks past the cutoff.
     """
+    if cutoff < 1:
+        raise InvalidArgument(f"cutoff must be at least 1, got {cutoff}")
     # Real until the phase shifter, so the SVD in ``oracle_qfi`` runs in real arithmetic.
     return FockState.from_factor(_input_ket(spec, cutoff)[:, None], cutoff)
 

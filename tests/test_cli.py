@@ -254,6 +254,22 @@ class TestThreshold:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+class TestValidate:
+    def test_all_checks_pass(self, capsys):
+        code, out = run_cli(capsys, "validate")
+        assert code == 0
+        assert out.splitlines()[-1] == "46/46 checks passed (tolerance 1e-06, cutoff 40)"
+
+    @pytest.mark.parametrize("cutoff, expected", [("0", 2), ("-3", 2), ("1", 1), ("2", 1)])
+    def test_small_cutoff_ends_with_an_exit_code(self, capsys, cutoff, expected):
+        code = main(["validate", "--cutoff", cutoff])
+        captured = capsys.readouterr()
+        assert code == expected
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if expected == 2:
+            assert f"cutoff must be at least 1, got {cutoff}" in captured.err
+
+
 class TestNonFiniteAndHugeEnergy:
     @pytest.mark.parametrize("nbar", ["inf", "nan"])
     @pytest.mark.parametrize(

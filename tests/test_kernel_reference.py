@@ -40,10 +40,11 @@ from mzi_lab import (
     output_state,
     phase_shifter,
     qfi_closed,
+    sensitivity,
     symmetric_moment,
 )
 from mzi_lab.interferometer import output_grid, phase_coefficients
-from mzi_lab.measurements import DEGENERATE_SLOPE, _grid_parity, homodyne_sensitivity, sensitivity_profile
+from mzi_lab.measurements import DEGENERATE_SLOPE, _grid_parity, sensitivity_profile
 
 from conftest import rotation_pair
 
@@ -255,5 +256,5 @@ def test_exact_slope_matches_complex_step(kind, resource, eta_a, eta_b, phi, ang
     signal, variance = reference_signal_variance(reference_state(resource, phi, loss), obs)
     slope = complex_step_slope(resource, loss, phi, obs)
     assume(abs(slope) >= 0.03 * math.sqrt(variance + signal**2))
-    result = homodyne_sensitivity(InterferometerConfig(resource, phi, loss), obs)
+    result = sensitivity(InterferometerConfig(resource, phi, loss), obs)
     assert result.slope == pytest.approx(slope, rel=1e-10)

@@ -11,21 +11,18 @@ from mzi_lab import (
     DegenerateWorkingPoint,
     GaussianState,
     InterferometerConfig,
-    InvalidArgument,
     LossModel,
     Observable,
     ResourceSpec,
     SingleModeState,
-    double_hd_csv_sensitivity,
-    homodyne_sensitivity,
     output_mode_a,
     output_state,
     parity_expectation,
-    parity_sensitivity,
     qfi_closed,
+    sensitivity,
+    sensitivity_profile,
     symmetric_moment,
 )
-from mzi_lab.measurements import sensitivity_profile, signal_and_variance
 
 
 def single_mode(cov, mean):
@@ -99,21 +96,21 @@ class TestMomentExpansions:
 class TestParitySensitivity:
     def test_variance_is_involution_complement(self):
         cfg = InterferometerConfig(ResourceSpec.tmsv(0.8), 1.1, LossModel.symmetric(0.9))
-        result = parity_sensitivity(cfg)
+        result = sensitivity(cfg, Observable.parity())
         signal = parity_expectation(output_mode_a(cfg))
         assert result.variance == pytest.approx(1.0 - signal**2, abs=1e-12)
         assert 0.0 <= result.variance <= 1.0
 
     def test_error_identity(self):
         cfg = InterferometerConfig(ResourceSpec.csv(1.0, 0.6), 2.5, LossModel.one_arm(0.8))
-        result = parity_sensitivity(cfg)
+        result = sensitivity(cfg, Observable.parity())
         assert result.error == pytest.approx(result.variance / result.slope**2, rel=1e-12)
 
     def test_degenerate_point_raises(self):
         # For a lossless TMSV the parity expectation peaks at phi = pi/2.
         cfg = InterferometerConfig(ResourceSpec.tmsv(0.8), math.pi / 2.0, LossModel.lossless())
         with pytest.raises(DegenerateWorkingPoint):
-            parity_sensitivity(cfg)
+            sensitivity(cfg, Observable.parity())
 
 
 class TestHomodyneSensitivity:
@@ -122,24 +119,13 @@ class TestHomodyneSensitivity:
         # sensitivity equals 1/(alpha^2 e^{2r}) exactly.
         alpha, r = 1.1, 0.8
         cfg = InterferometerConfig(ResourceSpec.csv(alpha, r), math.pi, LossModel.lossless())
-        result = homodyne_sensitivity(cfg, Observable.quadrature(math.pi / 2.0))
+        result = sensitivity(cfg, Observable.quadrature(math.pi / 2.0))
         assert result.error == pytest.approx(1.0 / (alpha**2 * math.exp(2 * r)), rel=1e-9)
 
     def test_error_identity(self):
         cfg = InterferometerConfig(ResourceSpec.tmsv(0.8), 0.9, LossModel.symmetric(0.8))
-        result = homodyne_sensitivity(cfg, Observable.quadrature_squared(0.0))
+        result = sensitivity(cfg, Observable.quadrature_squared(0.0))
         assert result.error == pytest.approx(result.variance / result.slope**2, rel=1e-12)
-
-    def test_parity_observable_rejected(self):
-        cfg = InterferometerConfig(ResourceSpec.tmsv(0.8), 0.9, LossModel.lossless())
-        with pytest.raises(InvalidArgument):
-            homodyne_sensitivity(cfg, Observable.parity())
-
-    def test_double_hd_wrapper(self):
-        cfg = InterferometerConfig(ResourceSpec.csv(1.0, 0.6), 1.2, LossModel.symmetric(0.9))
-        direct = homodyne_sensitivity(cfg, Observable.quadrature_sum(0.3, 1.9))
-        wrapped = double_hd_csv_sensitivity(cfg, 0.3, 1.9)
-        assert wrapped.error == pytest.approx(direct.error, rel=1e-14)
 
     def test_never_below_qcrb(self):
         resource = ResourceSpec.tmsv(1.0)
@@ -147,12 +133,12 @@ class TestHomodyneSensitivity:
             qcrb = qfi_closed(resource, loss).qcrb
             for phi in (0.3, 0.9, 1.4):
                 cfg = InterferometerConfig(resource, phi, loss)
-                result = homodyne_sensitivity(cfg, Observable.quadrature_squared(0.0))
+                result = sensitivity(cfg, Observable.quadrature_squared(0.0))
                 assert result.error >= qcrb
 
 
 class TestVectorizedProfile:
-    """The grid path must agree with the scalar moment machinery."""
+    """A scalar call is a batch of one of the grid path."""
 
     @pytest.mark.parametrize(
         "obs",
@@ -170,24 +156,18 @@ class TestVectorizedProfile:
         phis = np.array([0.3, 1.2, 2.6, 4.4])
         profile = sensitivity_profile(resource, loss, phis, obs)
         for i, phi in enumerate(phis):
-            cfg = InterferometerConfig(resource, float(phi), loss)
-            if obs.kind.value == "parity_a":
-                expected = parity_sensitivity(cfg).error
-            else:
-                expected = homodyne_sensitivity(cfg, obs).error
-            assert profile[i] == pytest.approx(expected, rel=1e-9)
+            assert profile[i] == sensitivity(InterferometerConfig(resource, float(phi), loss), obs).error
 
-    def test_signal_and_variance_rotation(self):
+    def test_rotated_quadrature_moments(self):
         # X_theta moments computed through mode rotations agree with a
         # direct projection of the covariance.
-        state = output_state(
-            InterferometerConfig(ResourceSpec.csv(0.8, 0.5), 0.7, LossModel.lossless())
-        )
+        cfg = InterferometerConfig(ResourceSpec.csv(0.8, 0.5), 0.7, LossModel.lossless())
+        state = output_state(cfg)
         theta = 0.9
         w = np.array([math.cos(theta), math.sin(theta), 0.0, 0.0])
-        signal, variance = signal_and_variance(state, Observable.quadrature(theta))
-        assert signal == pytest.approx(w @ state.mean, rel=1e-12)
-        assert variance == pytest.approx(w @ state.cov @ w, rel=1e-12)
+        result = sensitivity(cfg, Observable.quadrature(theta))
+        assert result.signal == pytest.approx(w @ state.mean, rel=1e-12)
+        assert result.variance == pytest.approx(w @ state.cov @ w, rel=1e-12)
 
 
 _FAULT_PROBE = textwrap.dedent(

@@ -1,5 +1,6 @@
 import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,10 @@ class TestSchemeSensitivity:
         assert point.delta2phi == pytest.approx(snl(8.0), rel=1e-6)
 
 
+#: A stand-in point whose error beats any SNL.
+BEATS_SNL = SimpleNamespace(delta2phi=0.0)
+
+
 class TestSnlThreshold:
     def test_qfi_tmsv_symmetric_is_exactly_solvable(self):
         # 2 eta^2 sinh^2(2s)/(1 + 2 eta (1-eta) sinh^2 s) = 2 nbar at
@@ -190,6 +195,25 @@ class TestSnlThreshold:
     def test_failure_at_zero_loss_raises(self):
         with pytest.raises(NumericFailure):
             snl_threshold(Scheme.QFI, ResourceKind.TMSV, 1e300, LossKind.SYMMETRIC)
+
+    @staticmethod
+    def threshold_with_fake_chain(monkeypatch, point):
+        monkeypatch.setattr(optimize, "_chain", lambda *args, **kwargs: point)
+        return snl_threshold(Scheme.QFI, ResourceKind.TMSV, 10.0, LossKind.SYMMETRIC)
+
+    def test_scan_to_full_loss_reports_no_crossing(self, monkeypatch):
+        result = self.threshold_with_fake_chain(monkeypatch, lambda nbar, loss, stop_below=None: BEATS_SNL)
+        assert math.isnan(result.loss_rate)
+        assert (result.bracket, result.iterations, result.status) == ((0.9500000000000003, 1.0), 20, "no-crossing")
+
+    def test_failed_step_does_not_beat_the_snl(self, monkeypatch):
+        def point(nbar, loss, stop_below=None):
+            if loss.eta_a < 0.5:
+                raise NoOptimum("no optimum below eta = 0.5")
+            return BEATS_SNL
+
+        result = self.threshold_with_fake_chain(monkeypatch, point)
+        assert (result.loss_rate, result.status) == (0.500390625, "crossed")
 
     def test_fixed_mu_chain_answers_zero_loss_with_its_pin(self, monkeypatch):
         point = _chain(Scheme.QFI, ResourceKind.CSV, optimize_mu=False)
