@@ -2,8 +2,8 @@
 
 The package simulates two-mode Gaussian states through a lossy two-port
 interferometer and evaluates phase-estimation precision three ways: the
-quantum Cramér-Rao bound via Bures-fidelity differencing (plus closed
-forms), parity readout of one output port, and single/double homodyne
+quantum Cramér-Rao bound from the exact Gaussian moment formula (plus
+closed forms), parity readout of one output port, and single/double homodyne
 readout.  Optimizers locate working points, resource ratios, and the loss
 rates at which each scheme stops beating the shot-noise limit.  A truncated
 Fock-basis oracle provides independent brute-force verification at small
@@ -42,7 +42,7 @@ from .optimize import (
     scheme_sensitivity,
     snl_threshold,
 )
-from .qfi import QfiMethod, QfiResult, bures_fidelity, qfi_closed, qfi_numeric, snl
+from .qfi import QfiResult, bures_fidelity, qfi_closed, qfi_numeric, snl, snl_tie_bound
 from .states import (
     OMEGA,
     P_A,

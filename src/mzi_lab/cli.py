@@ -27,7 +27,7 @@ from .optimize import (
     scheme_sensitivity,
     snl_threshold,
 )
-from .qfi import snl
+from .qfi import snl, snl_tie_bound
 from .states import ResourceKind
 
 _SCHEMES = {s.value: s for s in Scheme}
@@ -170,7 +170,7 @@ def _cmd_point(args):
         "mu": point.mu,
         "delta2phi": point.delta2phi,
         "snl": benchmark,
-        "beats_snl": bool(point.delta2phi < benchmark),
+        "beats_snl": bool(point.delta2phi < snl_tie_bound(benchmark)),
     }
     emit([row], _POINT_FIELDS, args.format, args.out)
     return 0

@@ -1,6 +1,6 @@
 """Estimator-level phase sensitivities via error propagation.
 
-Each observable yields an error ``var(O) / |d<O>/dphi|^2``.  Supported
+Each observable yields an error ``var(O) / |d<O>/dφ|^2``.  Supported
 observables: parity of output mode a, single quadratures and squared
 quadratures of mode a, and products/sums of one quadrature per output mode.
 Moments are read off the output covariance and mean, with the fourth-order
@@ -170,12 +170,13 @@ def _quadrature_moments(resource, loss, obs):
 
 
 def _errors(variance, slope):
-    """``variance / slope²``; ``inf`` at blind points and at negative variances."""
-    ok = (abs(slope) >= DEGENERATE_SLOPE) & (variance >= 0.0)
+    """``variance / slope²``; ``inf`` at blind points, negative variances and overflowed moments."""
+    square = slope * slope
+    ok = (abs(slope) >= DEGENERATE_SLOPE) & (0.0 <= variance) & (variance < math.inf) & (square < math.inf)
     if isinstance(slope, float):
-        return variance / (slope * slope) if ok else math.inf
+        return variance / square if ok else math.inf
     out = np.full(np.shape(slope), np.inf)
-    out[ok] = variance[ok] / slope[ok] ** 2
+    out[ok] = variance[ok] / square[ok]
     return out
 
 

@@ -22,7 +22,7 @@ from .errors import InvalidArgument, MziLabError, NoOptimum, NumericFailure, Uns
 from .interferometer import LossModel, phase_coefficients
 from .interferometer import output_grid  # noqa: F401 (perfbench's tracing test checks this binding)
 from .measurements import DEGENERATE_SLOPE, Observable, phase_error
-from .qfi import qfi_closed, qfi_numeric, snl
+from .qfi import qfi_closed, qfi_numeric, snl, snl_tie_bound
 from .states import ResourceKind, ResourceSpec
 
 __all__ = [
@@ -465,7 +465,7 @@ def _measurement_optimum(scheme, resource, loss):
 
 
 def _fisher_information(resource, loss):
-    """Closed-form Fisher information where one exists, else the fidelity route."""
+    """Closed-form Fisher information where one exists, else the moment formula."""
     if resource.kind is not ResourceKind.COHERENT:
         try:
             return qfi_closed(resource, loss).qfi
@@ -679,8 +679,9 @@ def snl_threshold(
 
     Scans upward from zero loss (which both guards against multiple
     crossings and locates the bracket), then bisects to ``tol``, or until
-    the bracket's ends are adjacent floats.  A scheme already at or above
-    the SNL at zero loss reports ``"no-crossing"``.  A failure to evaluate
+    the bracket's ends are adjacent floats.  A scheme that does not beat
+    the SNL at zero loss (one that ties it within :func:`snl_tie_bound`
+    does not) reports ``"no-crossing"``.  A failure to evaluate
     the scheme at zero loss raises; at any larger loss it counts as not
     beating the SNL.
 
@@ -695,7 +696,7 @@ def snl_threshold(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidArgument(f"tol must be a finite number > 0, got {tol}")
-    target = snl(nbar)
+    target = snl_tie_bound(snl(nbar))
     # Successive bisection points are close, so one chain carries the
     # squeezing-fraction optimum from each point to the next.
     point = _chain(scheme, resource_kind, optimize_mu)
@@ -821,7 +822,7 @@ def _sweep_chunk(spec: SweepSpec, values):
                 rows.append(SweepRow(
                     spec.variable.value, float(value), scheme.value, kind.value, nbar,
                     spec.loss_kind.value, loss_rate, phi_star, mu, delta2phi, benchmark,
-                    bool(delta2phi < benchmark), status,
+                    bool(delta2phi < snl_tie_bound(benchmark)), status,
                 ))
     return rows
 

@@ -1,7 +1,7 @@
 """Quantum Fisher information and Cramér-Rao bounds for the lossy interferometer.
 
-The numeric route differentiates the Bures fidelity between output states at
-nearby phases; closed forms cover the lossless case and symmetric/one-arm
+The general route is the exact Gaussian moment formula on the state before
+the phase shifter; closed forms cover the lossless case and symmetric/one-arm
 loss for both resource families.
 """
 
@@ -9,51 +9,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure, UnsupportedConfiguration
-from .interferometer import InterferometerConfig, LossModel, output_state
+from .interferometer import LossModel, _post_loss_cov_mean
 from .states import OMEGA, GaussianState, ResourceKind, ResourceSpec
 
-__all__ = [
-    "QfiMethod",
-    "QfiResult",
-    "bures_fidelity",
-    "qfi_numeric",
-    "qfi_closed",
-    "snl",
-]
+__all__ = ["QfiResult", "bures_fidelity", "qfi_numeric", "qfi_closed", "snl", "snl_tie_bound"]
 
 # det(2*cov) = 1 characterizes pure two-mode Gaussian states; used to pick
 # the numerically stable fidelity branch.
 _PURITY_TOL = 1e-9
 
-#: Largest ``1 - F`` at a fidelity step that :func:`qfi_numeric` accepts.
-#: Up to it the estimate is within 5e-5 relative of the closed forms for
-#: CSV and TMSV inputs, lossless or lossy, and within 1e-6 of 2·n̄ for a
-#: lossless coherent state.
-_SATURATED_INFIDELITY = 5e-3
+# The phase shifter's generator: the phase derivative of its rotation of mode a.
+_GENERATOR = np.diag([1.0, 0.0, 0.0], 1) - np.diag([1.0, 0.0, 0.0], -1)
+_OMEGA_OMEGA = np.kron(OMEGA, OMEGA)
 
-
-class QfiMethod(Enum):
-    NUMERIC_FIDELITY = "numeric-fidelity"
-    CLOSED_FORM = "closed-form"
+#: Largest residual ``|(s⊗s - Ω⊗Ω)x - vec ds| / |s|`` that :func:`qfi_numeric` accepts;
+#: an accepted value is within about three times it of the closed forms, relative.
+_RESIDUAL_TOL = 2e-9
 
 
 @dataclass(frozen=True)
 class QfiResult:
     qfi: float
     qcrb: float
-    method: QfiMethod
 
 
-def _result(qfi, method):
+def _result(qfi):
     qfi = float(qfi)
     if not (math.isfinite(qfi) and qfi > 0.0):
         raise NumericFailure(f"Fisher information must be finite and > 0, got {qfi}")
-    return QfiResult(qfi=qfi, qcrb=1.0 / qfi, method=method)
+    return QfiResult(qfi=qfi, qcrb=1.0 / qfi)
 
 
 def _is_pure(cov):
@@ -104,45 +92,41 @@ def bures_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     return min(max(fid, 0.0), 1.0)
 
 
-def qfi_numeric(
-    resource: ResourceSpec,
-    phi: float,
-    loss: LossModel,
-    dphi: float = 1e-3,
-) -> QfiResult:
-    """Fisher information from the fidelity between nearby output states.
+def qfi_numeric(resource: ResourceSpec, phi: float, loss: LossModel) -> QfiResult:
+    """Fisher information from the exact Gaussian moment formula.
 
-    Uses the second-difference estimator ``8 (1 - F(rho_phi, rho_phi+d)) / d^2``
-    evaluated at steps ``dphi`` and ``dphi/2`` and Richardson-extrapolated;
-    the fidelity is even in the step, so this cancels the leading O(d^2) bias
-    and leaves the step free to be chosen large enough that roundoff in the
-    fidelity (absolute, around 1e-13) stays far below ``1 - F``.
+    ``F = ½·vec(ds)ᵀ (s⊗s - Ω⊗Ω)⁺ vec(ds) + 2·ddᵀ s⁻¹ dd`` (Monras,
+    arXiv:1303.3682; Šafránek, arXiv:1801.00299), with ``s = 2·cov`` and the
+    mean ``d`` of the state before the phase shifter, ``ds = A s + s Aᵀ`` and
+    ``dd = A d`` for the generator ``A`` of the rotation of mode a.  The
+    phase rotation and the second splitter are fixed symplectic maps once
+    differentiated, so ``phi`` does not change the value.
 
     Raises:
-        NumericFailure: if ``1 - F`` at a step exceeds
-            ``_SATURATED_INFIDELITY``: the fidelity is then no longer
-            quadratic in the step, and the estimate falls short (for a
-            coherent state, by 2.6e-5 relative at 1 - F = 0.025 and by
-            80 % at nbar = 1e8).
+        NumericFailure: if the pseudo-inverse cannot resolve the state: the
+            residual of the solve, relative to ``|s|``, exceeds
+            ``_RESIDUAL_TOL``.  That happens only for nearly pure, very
+            strongly squeezed states (a lossless TMSV from n̄ ≈ 1,700).
     """
-    if dphi <= 0.0:
-        raise InvalidArgument(f"dphi must be > 0, got {dphi}")
-    base = output_state(InterferometerConfig(resource, phi, loss))
-
-    def estimate(step):
-        shifted = output_state(InterferometerConfig(resource, phi + step, loss))
-        infidelity = 1.0 - bures_fidelity(base, shifted)
-        if not infidelity <= _SATURATED_INFIDELITY:
-            raise NumericFailure(f"fidelity step saturates: 1 - F = {infidelity:.3g} at dphi = {step:g}")
-        return 8.0 * infidelity / step**2
-
-    coarse = estimate(dphi)
-    fine = estimate(dphi / 2.0)
-    return _result((4.0 * fine - coarse) / 3.0, QfiMethod.NUMERIC_FIDELITY)
+    cov, mean = _post_loss_cov_mean(resource, loss)
+    sigma = 2.0 * cov
+    dsigma = (_GENERATOR @ sigma + sigma @ _GENERATOR.T).reshape(-1)
+    dmean = _GENERATOR @ mean
+    with np.errstate(all="ignore"):
+        system = np.kron(sigma, sigma) - _OMEGA_OMEGA
+        try:
+            x = np.linalg.pinv(system, rcond=1e-12, hermitian=True) @ dsigma
+            displacement = dmean @ np.linalg.solve(sigma, dmean)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure(f"moment formula failed: {exc}") from exc
+        residual = np.linalg.norm(system @ x - dsigma) / np.linalg.norm(sigma)
+    if not residual <= _RESIDUAL_TOL:
+        raise NumericFailure(f"moment formula cannot resolve the state: residual {residual:.3g}")
+    return _result(0.5 * (dsigma @ x) + 2.0 * displacement)
 
 
 def _qfi_csv_symmetric(alpha, r, eta):
-    # Squeezed-term coefficients validated against both the fidelity route
+    # Squeezed-term coefficients validated against both the moment formula
     # and the Fock-basis SLD oracle; they reduce to sinh^2(r)*(3 + 2 sinh^2 r)
     # at eta = 1.
     sh, eh = math.sinh(r), math.exp(r)
@@ -200,7 +184,7 @@ def qfi_closed(resource: ResourceSpec, loss: LossModel) -> QfiResult:
     except (ZeroDivisionError, OverflowError) as exc:
         # e.g. e^r - 2 eta sinh r rounds to 0 at huge squeezing
         raise NumericFailure(f"closed-form Fisher information failed: {exc}") from exc
-    return _result(value, QfiMethod.CLOSED_FORM)
+    return _result(value)
 
 
 def snl(nbar: float) -> float:
@@ -208,3 +192,13 @@ def snl(nbar: float) -> float:
     if not (math.isfinite(nbar) and nbar > 0.0):
         raise InvalidArgument(f"nbar must be finite and > 0, got {nbar}")
     return 1.0 / (2.0 * nbar)
+
+
+def snl_tie_bound(benchmark: float) -> float:
+    """The error below which a scheme beats the SNL ``benchmark``.
+
+    An error within a relative 1e-12 of the SNL ties it and does not beat
+    it: a lossless coherent state reaches the SNL exactly, and the exact
+    routes put it there only to roundoff (7e-16).
+    """
+    return benchmark * (1.0 - 1e-12)

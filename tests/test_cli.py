@@ -55,6 +55,13 @@ class TestPoint:
         rows = parse_csv(out)
         assert rows[0]["beats_snl"] == "false"
 
+    def test_lossless_coherent_qfi_ties_the_snl(self, capsys):
+        code, out = run_cli(capsys, "point", "--scheme", "qfi", "--resource", "coherent", "--rate", "0")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["delta2phi"] == row["snl"] == "5.00000000000e-02"
+        assert row["beats_snl"] == "false"
+
     def test_jsonl_matches_csv_values(self, capsys):
         args = [
             "point", "--scheme", "qfi", "--resource", "csv",
@@ -231,6 +238,15 @@ class TestThreshold:
         assert row["status"] == "no-crossing"
         assert row["loss_rate"] == "nan"
 
+    @pytest.mark.parametrize("nbar", ["1", "7", "10", "50"])
+    def test_coherent_qfi_ties_the_snl(self, capsys, nbar):
+        # A coherent state's exact bound meets the SNL to roundoff at zero loss.
+        code, out = run_cli(capsys, "threshold", "--scheme", "qfi", "--resource", "coherent", "--nbar", nbar)
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["status"] == "no-crossing"
+        assert row["loss_rate"] == "nan"
+
     def test_zero_tolerance_returns_promptly(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -339,13 +355,15 @@ class TestNonFiniteAndHugeEnergy:
         assert proc.stderr.startswith("error: no squeezing fraction gave a usable error (")
         assert proc.stderr.count("\n") == 1
 
-    def test_huge_energy_coherent_qfi_is_an_error(self, capsys):
-        # 1 - F saturates at 1, so the fidelity route cannot resolve the information.
+    def test_huge_energy_coherent_qfi_is_exact(self, capsys):
+        # The moment formula resolves a coherent state at any energy.
         code = main(["point", "--scheme", "qfi", "--resource", "coherent", "--nbar", "1e300"])
         captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: fidelity step saturates: 1 - F = 1 at dphi = 0.001\n"
+        assert code == 0
+        assert captured.err == ""
+        row = parse_csv(captured.out)[0]
+        assert row["delta2phi"] == "5.00000000000e-301"
+        assert row["beats_snl"] == "false"
 
     def test_huge_energy_homodyne_sweep_rows_fail(self, capsys):
         code, out = run_cli(

@@ -188,21 +188,21 @@ class TestOracleExpectation:
 # -- dense reference ------------------------------------------------------------
 
 
-def dense_qfi(resource, phi, loss, cutoff, dphi=1e-4):
+def dense_qfi(resource, phi, loss, cutoff, step=1e-4):
     """SLD Fisher information of the dense output density matrix.
 
     Eigendecomposes rho and builds ``2 |<i|d rho|j>|² / (p_i + p_j)`` over
     eigenpairs with ``p_i + p_j`` above 1e-14; the phase derivative is a
-    central difference at steps ``dphi`` and ``dphi/2``, Richardson-refined.
+    central difference at steps ``step`` and ``step/2``, Richardson-refined.
     """
 
     def rho(angle):
         return fock.fock_output_state(resource, angle, loss, cutoff).dm
 
-    def central_difference(step):
-        return (rho(phi + step) - rho(phi - step)) / (2.0 * step)
+    def central_difference(h):
+        return (rho(phi + h) - rho(phi - h)) / (2.0 * h)
 
-    drho = (4.0 * central_difference(dphi / 2.0) - central_difference(dphi)) / 3.0
+    drho = (4.0 * central_difference(step / 2.0) - central_difference(step)) / 3.0
     probs, vecs = np.linalg.eigh(rho(phi))
     m = vecs.conj().T @ drho @ vecs
     denom = probs[:, None] + probs[None, :]

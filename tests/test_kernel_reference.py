@@ -221,7 +221,7 @@ def test_phase_coefficients_reproduce_output_grid(resource, eta_a, eta_b, phi):
 
 
 def complex_step_slope(resource, loss, phi, obs, h=1e-30):
-    """``d<O>/dphi`` as ``Im <O>(phi + ih) / h``, through a pipeline composed with complex phases."""
+    """``d<O>/dφ`` as ``Im <O>(phi + ih) / h``, through a pipeline composed with complex phases."""
     state = apply_symplectic(make_input(resource), beam_splitter(math.pi / 4.0))
     state = apply_loss(state, loss.eta_a, loss.eta_b)
     c, s = cmath.cos(complex(phi, h)), cmath.sin(complex(phi, h))

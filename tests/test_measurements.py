@@ -13,6 +13,7 @@ from mzi_lab import (
     InterferometerConfig,
     LossModel,
     Observable,
+    ResourceKind,
     ResourceSpec,
     SingleModeState,
     output_mode_a,
@@ -23,6 +24,7 @@ from mzi_lab import (
     sensitivity_profile,
     symmetric_moment,
 )
+from mzi_lab.measurements import phase_error
 
 
 def single_mode(cov, mean):
@@ -168,6 +170,14 @@ class TestVectorizedProfile:
         result = sensitivity(cfg, Observable.quadrature(theta))
         assert result.signal == pytest.approx(w @ state.mean, rel=1e-12)
         assert result.variance == pytest.approx(w @ state.cov @ w, rel=1e-12)
+
+    @pytest.mark.parametrize("obs", [Observable.quadrature_squared(0.2), Observable.product(0.1, 0.4)])
+    def test_overflowing_moments_are_blind(self, obs):
+        # Near the float range the variance and the slope overflow: the error is inf, never nan or 0.
+        resource = ResourceSpec.from_energy(ResourceKind.CSV, 1e300, 0.5)
+        loss = LossModel.symmetric(0.8)
+        assert np.all(sensitivity_profile(resource, loss, np.linspace(0.0, 3.0, 5), obs) == np.inf)
+        assert phase_error(resource, loss, obs)(0.7) == math.inf
 
 
 _FAULT_PROBE = textwrap.dedent(
