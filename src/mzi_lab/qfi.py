@@ -103,10 +103,10 @@ def qfi_numeric(resource: ResourceSpec, phi: float, loss: LossModel) -> QfiResul
     differentiated, so ``phi`` does not change the value.
 
     Raises:
-        NumericFailure: if the pseudo-inverse cannot resolve the state: the
-            residual of the solve, relative to ``|s|``, exceeds
-            ``_RESIDUAL_TOL``.  That happens only for nearly pure, very
-            strongly squeezed states (a lossless TMSV from n̄ ≈ 1,700).
+        NumericFailure: if the moments overflow, or if the pseudo-inverse
+            cannot resolve the state: the solve's residual, relative to
+            ``|s|``, exceeds ``_RESIDUAL_TOL``.  That happens for nearly pure,
+            very strongly squeezed states (a lossless TMSV from n̄ ≈ 1,700).
     """
     cov, mean = _post_loss_cov_mean(resource, loss)
     sigma = 2.0 * cov

@@ -134,6 +134,7 @@ class TestConditioningLimit:
                 try:
                     numeric = qfi_numeric(resource, 0.0, loss).qfi
                 except NumericFailure:
+                    assert nbar > 1e3  # only a nearly pure, strongly squeezed state is refused
                     continue
                 assert numeric == pytest.approx(qfi_closed(resource, loss).qfi, rel=1e-8)
 
