@@ -37,7 +37,6 @@ from .optimize import (
     SweepVariable,
     ThresholdResult,
     optimal_csv_ratio,
-    optimal_phi,
     run_sweep,
     scheme_sensitivity,
     snl_threshold,

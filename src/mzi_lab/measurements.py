@@ -47,7 +47,7 @@ class ObservableKind(Enum):
 
 
 def _wrap_angle(angle):
-    return float(angle) % (2.0 * math.pi)
+    return float(angle) % (2.0 * math.pi) % (2.0 * math.pi)  # twice: -1e-17 % 2π rounds up to 2π
 
 
 @dataclass(frozen=True)
@@ -178,26 +178,6 @@ def _errors(variance, slope):
     out = np.full(np.shape(slope), np.inf)
     out[ok] = variance[ok] / square[ok]
     return out
-
-
-def phase_error(resource, loss, obs: Observable):
-    """``error(phi)`` for a float or an array of phases, ``inf`` where blind.
-
-    Quadratures reuse the phase coefficients computed here; parity runs :func:`sensitivity_profile`.
-    """
-    if obs.kind is ObservableKind.PARITY_A:
-        def parity_error(phi):
-            errors = sensitivity_profile(resource, loss, np.atleast_1d(phi), obs)
-            return float(errors[0]) if isinstance(phi, float) else errors
-
-        return parity_error
-    moments = _quadrature_moments(resource, loss, obs)
-
-    def error(phi):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _errors(*moments(phi)[1:])
-
-    return error
 
 
 # -- the parity stencil -------------------------------------------------------

@@ -1,13 +1,13 @@
 """Working-point, resource-ratio and loss-threshold optimizers.
 
-All searches are deterministic grid-then-refine 1-D routines: a coarse scan
-locates the global basin, golden-section refines it, and a parabola fit
-through three off-center points returns the final value.  The parabola step
-matters for the lossless schemes whose optimum is a degenerate working point
-(signal variance and slope both vanish there): sensitivities evaluated too
-close to such a point are dominated by roundoff in the variance, while the
-vertex of a parabola fitted a safe distance away recovers the limit value to
-well below the tolerances used in the test suite.
+A quadrature readout's phase optimum is exact: the least error over the
+roots of a trigonometric polynomial (:func:`_min_over_phi`).  Every other
+search is a deterministic grid-then-refine 1-D routine: a coarse scan locates
+the global basin and golden section refines it; the parity and
+double-homodyne phases then take the vertex of a parabola fitted through
+three off-center points.  At a degenerate working point (signal variance and
+slope both vanish) errors evaluated too close to it are roundoff in the
+variance, while a parabola fitted a safe distance away recovers the limit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 from .errors import InvalidArgument, MziLabError, NoOptimum, NumericFailure, UnsupportedConfiguration
 from .interferometer import LossModel, phase_coefficients
 from .interferometer import output_grid  # noqa: F401 (perfbench's tracing test checks this binding)
-from .measurements import DEGENERATE_SLOPE, Observable, phase_error
+from .measurements import DEGENERATE_SLOPE, Observable, ObservableKind, sensitivity_profile
+from .measurements import _errors, _quadrature_moments, _wrap_angle
 from .qfi import qfi_closed, qfi_numeric, snl, snl_tie_bound
 from .states import ResourceKind, ResourceSpec
 
@@ -34,7 +35,6 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "golden_section",
-    "optimal_phi",
     "optimal_csv_ratio",
     "scheme_sensitivity",
     "snl_threshold",
@@ -170,40 +170,12 @@ def _parabola_polish(fn, x0, f0):
 
 
 def _refine_minimum(fn, lo, hi, tol=1e-8):
-    # The polish sets the final accuracy; golden section only needs to land
-    # inside the quadratic region of the basin.  An error that is not finite
-    # and > 0 there comes from roundoff, not from the measurement.
+    # The polish sets the final accuracy; golden section only needs to land inside the basin's
+    # quadratic region.  An error that is not finite and > 0 there comes from roundoff.
     x, f = _parabola_polish(fn, *golden_section(fn, lo, hi, tol))
     if not (math.isfinite(f) and f > 0.0):
         raise NumericFailure(f"phase optimum {f!r} is not a finite positive error")
     return x, f
-
-
-def optimal_phi(sensitivity_fn, domain=(0.0, _TWO_PI), grid_points=720, tol=1e-8):
-    """Global minimum of a phase-sensitivity function over one period.
-
-    A ``grid_points`` scan locates the basin (points where the function
-    raises a degenerate-working-point or similar error are skipped), then
-    golden-section refinement plus a parabola polish pin the minimum.
-
-    Returns:
-        Tuple ``(phi_star, value)``.
-
-    Raises:
-        NoOptimum: if the function is degenerate on the whole grid.
-        NumericFailure: if the refined minimum is not finite and > 0.
-    """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not hi > lo:
-        raise InvalidArgument(f"empty domain {domain}")
-    fn = _safe(sensitivity_fn)
-    grid = np.linspace(lo, hi, int(grid_points), endpoint=False)
-    values = np.array([fn(x) for x in grid])
-    if not np.isfinite(values).any():
-        raise NoOptimum("sensitivity is degenerate everywhere on the grid")
-    i = int(np.argmin(values))
-    spacing = (hi - lo) / grid_points
-    return _refine_minimum(fn, grid[i] - spacing, grid[i] + spacing, tol)
 
 
 # -- scheme evaluation --------------------------------------------------------
@@ -221,16 +193,63 @@ class SchemePoint:
     angles: tuple | None = None
 
 
+#: 16 phases resolve a quadrature error V/S²: V, S and g = V′S − 2VS′ have degree ≤ 4, 2 and 6.
+_ROOT_PHIS = (np.arange(16) * (_TWO_PI / 16)).tolist()
+_ROOT_DIFF = np.fft.irfft(1j * np.arange(9)[:, None] * np.fft.rfft(np.eye(16), axis=0), 16, axis=0)  # d/dφ
+_ROOT_RFFT = np.fft.rfft(np.eye(16), axis=0)[:7]  # G_0 … G_6 of 16 samples
+_LINEAR_KINDS = (ObservableKind.QUADRATURE_A, ObservableKind.SUM_QUAD_AB)  # g of degree 3
+
+
 def _min_over_phi(resource, loss, obs):
-    """Phase-optimized sensitivity of a fixed observable (720-point scan)."""
-    fn = phase_error(resource, loss, obs)
-    grid = np.linspace(0.0, _TWO_PI, 720, endpoint=False)
-    values = fn(grid)
-    if not np.isfinite(values).any():
-        raise NoOptimum("observable is blind at every phase on the grid")
-    i = int(np.argmin(values))
-    spacing = _TWO_PI / 720
-    return _refine_minimum(fn, grid[i] - spacing, grid[i] + spacing, 1e-5)
+    """Phase-optimized error of a fixed observable, as ``(phi_star, value)``.
+
+    A quadrature readout's error V/S² is stationary where g = V′S − 2VS′
+    vanishes: at the unit-circle roots of Σ_k G_k·z^(k+d), z = e^{iφ}, with
+    G_k (G_-k = conj G_k) g's Fourier coefficients from 16 samples and d its
+    degree.  The least error over them is emitted as evaluated there; errors
+    within 1e-12 relative of it tie, going to the smallest φ in [0, 2π).
+    Parity keeps a 720-point scan, golden section and the parabola polish.
+
+    Raises:
+        NoOptimum: if the observable is blind at every phase.
+        NumericFailure: if the moments overflow, or if the error moves by
+            more than 1e-6 relative within its root's roundoff.
+    """
+    if obs.kind is ObservableKind.PARITY_A:
+        grid = np.linspace(0.0, _TWO_PI, 720, endpoint=False)
+        values = sensitivity_profile(resource, loss, grid, obs)
+        if not np.isfinite(values).any():
+            raise NoOptimum("observable is blind at every phase on the grid")
+        phi0, spacing = grid[int(np.argmin(values))], _TWO_PI / 720
+        fn = lambda phi: float(sensitivity_profile(resource, loss, [phi], obs)[0])  # noqa: E731
+        return _refine_minimum(fn, phi0 - spacing, phi0 + spacing, 1e-5)
+
+    moments = _quadrature_moments(resource, loss, obs)
+    error = lambda phi: _errors(*moments(phi)[1:])  # noqa: E731 (float phases: sensitivity()'s bits)
+    with np.errstate(all="ignore"):  # overflowed moments are refused below
+        vs = np.array([moments(phi)[1:] for phi in _ROOT_PHIS])
+        (v, s), (dv, ds) = vs.T, (_ROOT_DIFF @ vs).T
+        if (np.abs(s) < DEGENERATE_SLOPE).all():
+            raise NoOptimum("observable is blind at every phase")
+        scale = np.abs(dv * s).max() + 2.0 * np.abs(v * ds).max()
+        g = _ROOT_RFFT[: 4 if obs.kind in _LINEAR_KINDS else 7] @ (dv * s - 2.0 * v * ds)
+        if not (np.isfinite(scale) and np.isfinite(g).all()):
+            raise NumericFailure("phase optimum is unresolved: the moments overflow")
+        degree = max(np.flatnonzero(np.abs(g) > 1e-13 * np.abs(g).max()), default=0)
+        poly = np.concatenate([g[degree::-1], g[1 : degree + 1].conj()])
+        roots = np.roots(poly)
+        phis = sorted((_wrap_angle(np.angle(z)), j) for j, z in enumerate(roots) if abs(abs(z) - 1.0) < 1e-3)
+        values = [error(phi) for phi, _ in phis]
+        least = min(values, default=math.inf)
+        if not (math.isfinite(least) and least > 0.0):
+            raise NumericFailure(f"phase optimum {least!r} is not a finite positive error")
+        (phi_star, j), value = next((p, e) for p, e in zip(phis, values) if e <= least * (1.0 + 1e-12))
+        # Coefficient roundoff, up to 16ε·scale = 3.6e-15·scale each, moves a root by its sum over |p′(z)|.
+        step = float(3.6e-15 * scale * poly.size / abs(np.polyval(np.polyder(poly), roots[j])))
+    spread = max(abs(error(phi_star + d) - value) for d in (-step, step)) / value if step < 1.0 else math.inf
+    if not spread <= 1e-6:
+        raise NumericFailure(f"phase optimum is unresolved: its error moves {spread:.1e} within {step:.1e} rad")
+    return phi_star, value
 
 
 #: Newton step caps for the LO angles.  A warm start sits next to the
@@ -459,9 +478,10 @@ def _measurement_observable(scheme, kind):
 def _measurement_optimum(scheme, resource, loss):
     obs = _measurement_observable(scheme, resource.kind)
     if obs is None:
-        return _min_double_hd(resource, loss)
-    phi_star, value = _min_over_phi(resource, loss, obs)
-    return phi_star, value, None
+        phi_star, value, angles = _min_double_hd(resource, loss)
+    else:
+        (phi_star, value), angles = _min_over_phi(resource, loss, obs), None
+    return _wrap_angle(phi_star), value, angles
 
 
 def _fisher_information(resource, loss):

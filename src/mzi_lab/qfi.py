@@ -113,7 +113,7 @@ def qfi_numeric(resource: ResourceSpec, phi: float, loss: LossModel) -> QfiResul
     dsigma = (_GENERATOR @ sigma + sigma @ _GENERATOR.T).reshape(-1)
     dmean = _GENERATOR @ mean
     with np.errstate(all="ignore"):
-        system = np.kron(sigma, sigma) - _OMEGA_OMEGA
+        system = np.multiply.outer(sigma, sigma).transpose(0, 2, 1, 3).reshape(16, 16) - _OMEGA_OMEGA
         try:
             x = np.linalg.pinv(system, rcond=1e-12, hermitian=True) @ dsigma
             displacement = dmean @ np.linalg.solve(sigma, dmean)

@@ -146,6 +146,12 @@ class TestSweep:
         tmsv0 = next(r for r in rows if r["resource"] == "tmsv" and float(r["value"]) == 0.0)
         assert float(tmsv0["delta2phi"]) == pytest.approx(1.0 / 240.0, rel=1e-8)
 
+    def test_figure_preset_a1_phases_lie_in_one_period(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--figure", "a1")
+        assert code == 0
+        phases = [float(row["phi_star"]) for row in parse_csv(out) if row["scheme"] != "qfi"]
+        assert phases and all(0.0 <= phi < 2.0 * math.pi for phi in phases)
+
     def test_sweep_requires_mode(self, capsys):
         code, _ = run_cli(capsys, "sweep")
         assert code == 2
@@ -335,6 +341,15 @@ class TestNonFiniteAndHugeEnergy:
         # failure is numeric, not a scheme that is degenerate everywhere.
         assert captured.err.startswith("error: no squeezing fraction gave a usable error (")
         assert "failed numerically: phase optimum" in captured.err and "degenerate" not in captured.err
+
+    @pytest.mark.parametrize("scheme", ["single-hd", "double-hd"])
+    def test_unresolved_tmsv_phase_optimum_is_an_error(self, capsys, scheme):
+        # Past n̄ ≈ 2e5 roundoff in the stationary-phase polynomial hides the optimum.
+        code = main(["point", "--scheme", scheme, "--resource", "tmsv", "--nbar", "1e16", "--rate", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: phase optimum is unresolved") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("scheme", ["single-hd", "double-hd"])
     def test_huge_energy_csv_threshold_is_an_error(self, scheme):

@@ -4,27 +4,33 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzi_lab import (
+    InterferometerConfig,
     InvalidArgument,
     LossKind,
     LossModel,
     NoOptimum,
     NumericFailure,
+    Observable,
     ResourceKind,
+    ResourceSpec,
     Scheme,
     SweepSpec,
     SweepVariable,
     optimal_csv_ratio,
-    optimal_phi,
     run_sweep,
     scheme_sensitivity,
+    sensitivity,
+    sensitivity_profile,
     snl,
     snl_threshold,
 )
 from mzi_lab import optimize
 from mzi_lab.errors import DegenerateWorkingPoint, MziLabError
-from mzi_lab.optimize import ThresholdResult, _chain, _minimize_over_mu, golden_section
+from mzi_lab.optimize import ThresholdResult, _chain, _min_over_phi, _minimize_over_mu, golden_section
 
 
 class TestGoldenSection:
@@ -38,38 +44,97 @@ class TestGoldenSection:
         assert x == pytest.approx(math.pi, abs=1e-7)
 
 
-class TestOptimalPhi:
-    def test_constant_function(self):
-        _, value = optimal_phi(lambda phi: 3.75)
-        assert value == pytest.approx(3.75)
+#: n̄ of the pinned minima below.
+PINNED_NBARS = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e8, 1e10, 1e16)
 
-    def test_known_minimum(self):
-        phi, value = optimal_phi(lambda phi: 2.0 - math.sin(phi))
-        assert value == pytest.approx(1.0, abs=1e-9)
-        assert phi == pytest.approx(math.pi / 2.0, abs=1e-4)
+#: 80-digit minima over φ of the TMSV squared-quadrature and product errors at
+#: each of ``PINNED_NBARS``, taking the float moments of
+#: ``interferometer._post_loss_cov_mean`` as exact (mpmath 1.3: a 2,000-phase
+#: scan, then golden section at 80 digits).
+PINNED_MINIMA = {
+    ("symmetric 0.8", "squared"): (
+        0.055415409355627714, 0.005061519589881915, 0.0005006240019957055,
+        5.0006249000149664e-05, 5.000062498984899e-06, 5.00000624804992e-07,
+        4.999999962499995e-09, 4.999999999624996e-11, 5.0000000000000104e-17,
+    ),
+    ("symmetric 0.8", "product"): (
+        0.03319051605152835, 0.0030526457001523156, 0.00030213117400910554,
+        3.0181220121234917e-05, 3.017802464663386e-06, 3.0177705032325804e-07,
+        3.017766928123405e-09, 3.0177669527179366e-11, 3.0177669529663753e-17,
+    ),
+    ("one-arm 0.6", "squared"): (
+        0.07453424301250547, 0.006754357258560823, 0.0006675543357723294,
+        6.667555433348923e-05, 6.666755554347498e-06, 6.666675552682167e-07,
+        6.666666622222216e-09, 6.666666666222218e-11, 6.66666666666668e-17,
+    ),
+    ("one-arm 0.6", "product"): (
+        0.06733195814377767, 0.006672366705271195, 0.0006667223710349854,
+        6.666722237148539e-05, 6.6666722223125165e-06, 6.666667221665268e-07,
+        6.666666622222216e-09, 6.666666666222218e-11, 6.666666666666679e-17,
+    ),
+}
 
-    def test_domain_shift_invariance(self):
-        fn = lambda phi: 1.0 + 0.5 * math.cos(3.0 * phi + 0.4)
-        _, v0 = optimal_phi(fn, domain=(0.0, 2.0 * math.pi))
-        _, v1 = optimal_phi(fn, domain=(2.0 * math.pi, 4.0 * math.pi))
-        assert v0 == pytest.approx(v1, abs=1e-6)
 
-    def test_degenerate_everywhere(self):
-        def blind(phi):
-            raise DegenerateWorkingPoint("no signal")
+_QUADRATURE_READOUTS = {
+    "csv P": (ResourceKind.CSV, Observable.quadrature(math.pi / 2.0)),
+    "coherent P": (ResourceKind.COHERENT, Observable.quadrature(math.pi / 2.0)),
+    "tmsv X squared": (ResourceKind.TMSV, Observable.quadrature_squared(0.0)),
+    "tmsv XX": (ResourceKind.TMSV, Observable.product(0.0, 0.0)),
+}
+_PINNED_LOSSES = {"symmetric 0.8": LossModel.symmetric(0.8), "one-arm 0.6": LossModel.one_arm(0.6)}
+_PINNED_OBSERVABLES = {"squared": Observable.quadrature_squared(0.0), "product": Observable.product(0.0, 0.0)}
 
-        with pytest.raises(NoOptimum):
-            optimal_phi(blind)
 
-    def test_skips_degenerate_points(self):
-        def spiky(phi):
-            if abs(phi - 3.0) < 0.01:
-                raise DegenerateWorkingPoint("hole around the minimum")
-            return (phi - 3.0) ** 2 + 1.0
+class TestQuadraturePhaseOptimum:
+    @given(
+        readout=st.sampled_from(sorted(_QUADRATURE_READOUTS)),
+        nbar=st.floats(0.5, 50.0),
+        mu=st.floats(0.4, 1.0, exclude_max=True),
+        eta_a=st.floats(0.4, 1.0),
+        eta_b=st.floats(0.4, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_emitted_error_is_attained_and_least(self, readout, nbar, mu, eta_a, eta_b):
+        kind, obs = _QUADRATURE_READOUTS[readout]
+        resource = ResourceSpec.from_energy(kind, nbar, mu)  # mu is a CSV's alone
+        loss = LossModel(eta_a, eta_b)
+        phi, value = _min_over_phi(resource, loss, obs)
+        assert 0.0 <= phi < 2.0 * math.pi
+        assert value == sensitivity(InterferometerConfig(resource, phi, loss), obs).error
+        grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        assert sensitivity_profile(resource, loss, grid, obs).min() >= value * (1.0 - 1e-12)
 
-        # The best evaluable point sits on the hole's rim at |phi - 3| = 0.01.
-        _, value = optimal_phi(spiky)
-        assert value == pytest.approx(1.0 + 0.01**2, abs=2e-4)
+    def test_lossless_tmsv_closed_forms(self):
+        tmsv = ResourceSpec.from_energy(ResourceKind.TMSV, 10.0)
+        s, lossless = tmsv.s, LossModel.lossless()
+        squared = (1.0 / (2.0 * math.exp(2 * s))) * (1.0 / math.sinh(s) ** 2 + 1.0 / math.cosh(s) ** 2)
+        product = 1.0 / (math.sqrt(2.0 + 2.0 * math.exp(8 * s)) - math.exp(4 * s) - 1.0)
+        assert _min_over_phi(tmsv, lossless, Observable.quadrature_squared(0.0))[1] == pytest.approx(
+            squared, rel=1e-12)
+        assert _min_over_phi(tmsv, lossless, Observable.product(0.0, 0.0))[1] == pytest.approx(product, rel=1e-12)
+
+    def test_ties_go_to_the_smallest_phase(self):
+        # The lossless product error takes its least value at several phases.
+        tmsv = ResourceSpec.from_energy(ResourceKind.TMSV, 10.0)
+        phi, _ = _min_over_phi(tmsv, LossModel.lossless(), Observable.product(0.0, 0.0))
+        assert phi == pytest.approx(1.516682, abs=1e-6)
+
+    @pytest.mark.parametrize("loss_name", sorted(_PINNED_LOSSES))
+    @pytest.mark.parametrize("obs_name", sorted(_PINNED_OBSERVABLES))
+    def test_pinned_high_precision_minima(self, loss_name, obs_name):
+        # Exact to 1e-10 up to n̄ = 1e4; beyond, exact to 1e-9 or refused.  No
+        # value may undercut the least error any phase attains beyond roundoff.
+        loss, obs = _PINNED_LOSSES[loss_name], _PINNED_OBSERVABLES[obs_name]
+        for nbar, reference in zip(PINNED_NBARS, PINNED_MINIMA[loss_name, obs_name]):
+            resource = ResourceSpec.from_energy(ResourceKind.TMSV, nbar)
+            try:
+                _, value = _min_over_phi(resource, loss, obs)
+            except NumericFailure as exc:
+                assert nbar > 1e4, f"refused at n̄ = {nbar:g}: {exc}"
+                assert str(exc).startswith("phase optimum")
+                continue
+            assert value == pytest.approx(reference, rel=1e-10 if nbar <= 1e4 else 1e-9), nbar
+            assert value >= reference * (1.0 - 1e-15), nbar
 
 
 class TestOptimalCsvRatio:
