@@ -195,8 +195,9 @@ class SchemePoint:
 
 #: 16 phases resolve a quadrature error V/S²: V, S and g = V′S − 2VS′ have degree ≤ 4, 2 and 6.
 _ROOT_PHIS = (np.arange(16) * (_TWO_PI / 16)).tolist()
-_ROOT_DIFF = np.fft.irfft(1j * np.arange(9)[:, None] * np.fft.rfft(np.eye(16), axis=0), 16, axis=0)  # d/dφ
-_ROOT_RFFT = np.fft.rfft(np.eye(16), axis=0)[:7]  # G_0 … G_6 of 16 samples
+_ROOT_GAPS = np.subtract.outer(_ROOT_PHIS, _ROOT_PHIS)  # φ_l − φ_j
+_ROOT_DIFF = -sum(k * np.sin(k * _ROOT_GAPS) for k in range(1, 8)) / 8.0  # d/dφ of the 16-sample interpolant
+_ROOT_RFFT = np.exp(-1j * np.outer(np.arange(7), _ROOT_PHIS))  # G_0 … G_6 of 16 samples
 _LINEAR_KINDS = (ObservableKind.QUADRATURE_A, ObservableKind.SUM_QUAD_AB)  # g of degree 3
 
 

@@ -131,6 +131,23 @@ def test_pi_phase_swaps_the_output_ports(config, phi, ta, tb):
         assert _sum_quad_objective(cov, dmean)(ta, tb)[0] == pytest.approx(swapped, rel=1e-12, abs=0.0)
 
 
+@given(config=resources, phi=st.floats(0.0, 2.0 * math.pi), ta=angles, tb=angles)
+@settings(max_examples=200, deadline=None)
+def test_conjugation_reverses_every_angle(config, phi, ta, tb):
+    # A real input is its own complex conjugate (P → -P), which maps the output at φ to the one at -φ.
+    kind, nbar, mu, eta_a, eta_b = config
+    coefficients = phase_coefficients(ResourceSpec.from_energy(kind, nbar, mu), LossModel(eta_a, eta_b))
+    cov, dmean = _cov_and_dmean(coefficients, phi)
+    mirror_cov, mirror_dmean = _cov_and_dmean(coefficients, -phi)
+    w = np.array([math.cos(ta), math.sin(ta), math.cos(tb), math.sin(tb)])
+    mirror_w = w * np.array([1.0, -1.0, 1.0, -1.0])
+    # The variance is checked for every input; a TMSV has no mean and no slope.
+    assert w @ cov @ w == pytest.approx(mirror_w @ mirror_cov @ mirror_w, rel=1e-12, abs=0.0)
+    if kind is not ResourceKind.TMSV and slope_ratio(dmean, ta, tb) >= 1e-3:
+        mirrored = _sum_quad_objective(mirror_cov, mirror_dmean)(-ta, -tb)[0]
+        assert _sum_quad_objective(cov, dmean)(ta, tb)[0] == pytest.approx(mirrored, rel=1e-12, abs=0.0)
+
+
 def full_grid_minimum(coefficients):
     """Smallest error over 180 phases on [0, 2π) × 12 θa on [0, π) × 24 θb on [0, 2π)."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)

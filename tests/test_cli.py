@@ -291,6 +291,12 @@ class TestValidate:
         if expected == 2:
             assert f"cutoff must be at least 1, got {cutoff}" in captured.err
 
+    def test_cutoff_above_100_exits_2(self, capsys):
+        code = main(["validate", "--cutoff", "101"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: cutoff must be at most 100, got 101\n"
+
 
 class TestNonFiniteAndHugeEnergy:
     @pytest.mark.parametrize("nbar", ["inf", "nan"])

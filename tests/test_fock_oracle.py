@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import sqrtm
+from scipy.linalg import expm, sqrtm
 
 from mzi_lab import (
     CutoffTooSmall,
@@ -65,6 +65,14 @@ class TestInputStates:
         with pytest.raises(CutoffTooSmall):
             fock.build_fock_input(ResourceSpec.tmsv(1.5), 12)
 
+    def test_cutoff_above_100_is_refused(self):
+        with pytest.raises(InvalidArgument, match="at most 100"):
+            fock.build_fock_input(ResourceSpec.coherent(0.3), 101)
+
+    def test_dense_matrix_is_formed_once(self):
+        state = fock.build_fock_input(ResourceSpec.csv(0.3, 0.2), 20)
+        assert state.dm is state.dm
+
     def test_trace_one_and_hermitian(self):
         state = fock.build_fock_input(ResourceSpec.csv(0.7, 0.5), 30)
         assert np.trace(state.dm).real == pytest.approx(1.0, abs=1e-10)
@@ -72,9 +80,15 @@ class TestInputStates:
 
 
 class TestChannels:
-    def test_beam_splitter_unitary_is_orthogonal(self):
-        u = fock._beam_splitter_unitary(math.pi / 4.0, 12)
-        assert np.abs(u @ u.T - np.eye(144)).max() < 1e-12
+    @pytest.mark.parametrize("cutoff", [12, 28])
+    @pytest.mark.parametrize("theta", [math.pi / 4.0, -math.pi / 4.0], ids=["pi/4", "-pi/4"])
+    def test_beam_splitter_blocks_are_orthogonal(self, theta, cutoff):
+        for idx, block in fock._beam_splitter_blocks(theta, cutoff):
+            ns = idx // cutoff
+            coupling = np.sqrt((ns[:-1] + 1.0) * (idx % cutoff)[:-1])  # <n+1, m-1| G |n, m>
+            generator = np.diag(coupling, -1) - np.diag(coupling, 1)
+            assert np.abs(block @ block.T - np.eye(len(idx))).max() < 1e-14
+            assert np.abs(block - expm(theta * generator)).max() < 1e-12
 
     def test_identity_loss(self):
         state = fock.build_fock_input(ResourceSpec.csv(0.6, 0.3), 20)
@@ -83,16 +97,13 @@ class TestChannels:
 
     def test_phase_is_diagonal(self):
         cutoff = 6
-        state = fock.build_fock_input(ResourceSpec.csv(0.0, 0.0), cutoff)
-        dm = state.dm.copy()
-        dm[:] = 0.0
         ket = np.zeros(cutoff * cutoff)
         ket[2 * cutoff + 1] = 1.0  # |2, 1>
-        out = fock.apply_phase(fock.FockState(np.outer(ket, ket), cutoff), 0.7)
+        out = fock.apply_phase(fock.FockState(ket[:, None], cutoff), 0.7)
         # |2,1><2,1| is invariant; coherences would pick up e^{-i n phi}
         assert np.allclose(out.dm, np.outer(ket, ket))
         super_ket = (ket + np.roll(ket, cutoff)) / math.sqrt(2.0)  # adds |3,1>
-        out = fock.apply_phase(fock.FockState(np.outer(super_ket, super_ket), cutoff), 0.7)
+        out = fock.apply_phase(fock.FockState(super_ket[:, None], cutoff), 0.7)
         coherence = out.dm[2 * cutoff + 1, 3 * cutoff + 1]
         assert coherence == pytest.approx(0.5 * np.exp(1j * 0.7), abs=1e-12)
 
@@ -237,11 +248,6 @@ class TestAgainstDenseReference:
         s1 = fock.fock_output_state(resource, 0.4, loss, cutoff)
         s2 = fock.fock_output_state(resource, 0.7, loss, cutoff)
         assert fock.uhlmann_fidelity(s1, s2) == pytest.approx(dense_fidelity(s1, s2), abs=1e-10)
-
-    def test_dense_state_is_factored_on_demand(self):
-        dense = fock.fock_output_state(SMALL_RESOURCES[0], 0.4, LOSSES[1], 12).dm
-        state = fock.FockState(dense, 12)
-        assert np.abs(state.factor @ state.factor.conj().T - dense).max() < 1e-14
 
 
 @settings(max_examples=25, deadline=None)
