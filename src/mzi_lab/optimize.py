@@ -71,19 +71,18 @@ class LossKind(Enum):
         return LossModel.one_arm(eta)
 
 
-def _safe(fn, numeric_failures=None):
+def _safe(fn, numeric_failures):
     """``fn`` with library errors and non-finite values mapped to ``inf``.
 
-    ``numeric_failures``, when given, collects the message of each
-    :class:`NumericFailure`; a kept exception would keep its frames alive.
+    ``numeric_failures`` collects the message of each :class:`NumericFailure`;
+    a kept exception would keep its frames alive.
     """
 
     def wrapped(x):
         try:
             value = fn(x)
         except NumericFailure as exc:
-            if numeric_failures is not None:
-                numeric_failures.append(str(exc))
+            numeric_failures.append(str(exc))
             return math.inf
         except MziLabError:
             return math.inf
@@ -253,11 +252,9 @@ def _min_over_phi(resource, loss, obs):
     return phi_star, value
 
 
-#: Newton step caps for the LO angles.  A warm start sits next to the
-#: optimum; a cold one starts from the best cell of the angle grid, whose
+#: Newton step cap for the LO angles: about one cell of the angle grid, whose
 #: spacing is 2π/24 ≈ 0.26.
-_WARM_ANGLE_CAP = 0.2
-_COLD_ANGLE_CAP = 0.3
+_ANGLE_STEP_CAP = 0.3
 _NEWTON_ITERS = 30
 
 
@@ -312,61 +309,66 @@ def _sum_quad_objective(cov, dmean):
     return local
 
 
-def _newton_angles(local, ta, tb, cap):
-    """Newton's method on the two-angle objective ``local`` (exact derivatives).
+def _newton_angles(local, ta, tb):
+    """Safeguarded Newton's method on the two-angle objective ``local`` (exact derivatives).
 
-    Returns ``(ta, tb, value)``, or ``None`` whenever the local quadratic
-    model is not trustworthy (a blind or non-finite point, a non-convex
-    Hessian, a step longer than ``cap``), in which case the caller falls
-    back to the simplex search.
+    A plain Newton step is taken as it is, with no descent test, wherever the
+    Hessian is positive definite, the step is within ``_ANGLE_STEP_CAP`` and
+    it lands on a point where ``local`` is finite.  Otherwise the Hessian is
+    shifted to positive definite, the step is cut to the cap, and it is
+    halved until the error falls; a step that cannot lower it ends the search.
+
+    Returns ``(ta, tb, value)``; ``value`` is ``inf`` when the start is blind,
+    the derivatives there are not finite, or the shifted Hessian is singular
+    or not finite.
     """
+    point = local(ta, tb)
+    if not all(map(math.isfinite, point)):
+        return ta, tb, math.inf
     for _ in range(_NEWTON_ITERS):
-        point = local(ta, tb)
-        if not all(map(math.isfinite, point)):
-            return None
-        _, ga, gb, haa, hab, hbb = point
+        value, ga, gb, haa, hab, hbb = point
         det = haa * hbb - hab * hab
-        if det <= 0.0 or haa <= 0.0:
-            return None
-        da = -(hbb * ga - hab * gb) / det
-        db = -(haa * gb - hab * ga) / det
-        if max(abs(da), abs(db)) > cap:
-            return None
+        trial = None
+        if det > 0.0 and haa > 0.0:
+            da = -(hbb * ga - hab * gb) / det
+            db = -(haa * gb - hab * ga) / det
+            if max(abs(da), abs(db)) <= _ANGLE_STEP_CAP:
+                trial = local(ta + da, tb + db)
+        if trial is None or not all(map(math.isfinite, trial)):
+            # Shift the Hessian's least eigenvalue up to at least its own size and 1e-8 of the
+            # largest's, so that a nearly singular Hessian (next to a blind line) stays solvable.
+            mean, radius = 0.5 * (haa + hbb), math.hypot(0.5 * (haa - hbb), hab)
+            least = mean - radius
+            shift = max(0.0, max(abs(least), 1e-8 * (abs(mean) + radius)) - least)
+            haa, hbb = haa + shift, hbb + shift
+            det = haa * hbb - hab * hab
+            if not (math.isfinite(det) and det > 0.0):
+                return ta, tb, math.inf
+            da = -(hbb * ga - hab * gb) / det
+            db = -(haa * gb - hab * ga) / det
+            scale = _ANGLE_STEP_CAP / max(abs(da), abs(db), _ANGLE_STEP_CAP)
+            da, db = da * scale, db * scale
+            trial = local(ta + da, tb + db)
+            while not (all(map(math.isfinite, trial)) and trial[0] < value):
+                da, db = 0.5 * da, 0.5 * db
+                if not max(abs(da), abs(db)) >= 1e-9:  # also ends a step that overflowed to nan
+                    return ta, tb, value
+                trial = local(ta + da, tb + db)
         ta += da
         tb += db
+        point = trial
         if max(abs(da), abs(db)) < 1e-9:
             break
-    return ta, tb, local(ta, tb)[0]
+    return ta, tb, point[0]
 
 
-def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b, warm=False):
-    """Joint refinement of the two local-oscillator angles.
+def _refine_sum_quad_angles(cov, dmean, theta_a, theta_b):
+    """Joint refinement of the two local-oscillator angles by :func:`_newton_angles`.
 
     The two angles are strongly coupled through the inter-mode covariance
-    (the landscape is a narrow diagonal valley), so coordinate descent is
-    out.  Newton's method with exact derivatives runs from every start, warm
-    (the previous phase's angles) or cold (the best cell of the angle grid),
-    each with its own step cap.  A Nelder-Mead simplex search from the same
-    start is the fallback when Newton returns ``None``.
+    (the landscape is a narrow diagonal valley), so coordinate descent is out.
     """
-    local = _sum_quad_objective(cov, dmean)
-    refined = _newton_angles(local, theta_a, theta_b, _WARM_ANGLE_CAP if warm else _COLD_ANGLE_CAP)
-    if refined is not None:
-        return refined
-
-    from scipy.optimize import minimize
-
-    start = np.array([theta_a, theta_b])
-    spread = 0.01 if warm else 0.08
-    simplex = np.array([start, start + [spread, 0.0], start + [0.0, spread]])
-    result = minimize(
-        lambda t: local(t[0], t[1])[0],
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-15, "maxiter": 300, "initial_simplex": simplex},
-    )
-    ta, tb = result.x
-    return float(ta), float(tb), float(result.fun)
+    return _newton_angles(_sum_quad_objective(cov, dmean), theta_a, theta_b)
 
 
 def _cov_and_dmean(coefficients, phi):
@@ -440,17 +442,16 @@ def _min_double_hd(resource, loss):
     [0, π) × 12 values of θa in [0, π) × 24 values of θb in [0, 2π), holds
     every distinct setting once; it locates the basin.  Golden section and
     the parabola polish then refine φ, and at every phase they try,
-    :func:`_refine_sum_quad_angles` refines the angles, cold from the grid's
-    best cell the first time and warm from the previous phase's angles after.
+    :func:`_refine_sum_quad_angles` refines the angles, from the grid's best
+    cell the first time and from the previous phase's angles after.
     """
     coefficients = phase_coefficients(resource, loss)
     _, phi0, theta_a, theta_b = _double_hd_grid(coefficients)
-    state = {"ta": theta_a, "tb": theta_b, "warm": False}
+    state = {"ta": theta_a, "tb": theta_b}
 
     def fn(phi):
         cov, dmean = _cov_and_dmean(coefficients, phi)
-        ta, tb, value = _refine_sum_quad_angles(cov, dmean, state["ta"], state["tb"], warm=state["warm"])
-        state["ta"], state["tb"], state["warm"] = ta, tb, True
+        state["ta"], state["tb"], value = _refine_sum_quad_angles(cov, dmean, state["ta"], state["tb"])
         return value
 
     spacing = _TWO_PI / 180

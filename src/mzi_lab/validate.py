@@ -17,6 +17,7 @@ from .qfi import bures_fidelity, qfi_numeric
 from .states import ResourceKind, ResourceSpec, symmetric_moment
 
 _TOL = 1e-6
+_PHI = 0.7
 
 _MOMENTS = {
     "x_a": (0,),
@@ -36,19 +37,19 @@ def _configs():
     ]
 
 
-def run_cross_checks(cutoff=40, stream=None, phi=0.7):
+def run_cross_checks(cutoff=40, stream=None):
     """Run the cross-check table; returns the list of failed check labels."""
     losses = [("lossless", LossModel.lossless()), ("eta=0.8", LossModel.symmetric(0.8))]
     rows = []
     for rname, resource in _configs():
         for lname, loss in losses:
-            gauss = output_state(InterferometerConfig(resource, phi, loss))
-            oracle_state = fock.fock_output_state(resource, phi, loss, cutoff)
+            gauss = output_state(InterferometerConfig(resource, _PHI, loss))
+            oracle_state = fock.fock_output_state(resource, _PHI, loss, cutoff)
             label = f"{rname} {lname}"
             rows.append(
                 (
                     f"parity  {label}",
-                    parity_expectation(output_mode_a(InterferometerConfig(resource, phi, loss))),
+                    parity_expectation(output_mode_a(InterferometerConfig(resource, _PHI, loss))),
                     fock.oracle_expectation(oracle_state, "parity_a"),
                 )
             )
@@ -62,23 +63,23 @@ def run_cross_checks(cutoff=40, stream=None, phi=0.7):
                 )
     for lname, loss in losses:
         resource = ResourceSpec.from_energy(ResourceKind.TMSV, 1.0)
-        s1 = output_state(InterferometerConfig(resource, phi, loss))
-        s2 = output_state(InterferometerConfig(resource, phi + 0.2, loss))
+        s1 = output_state(InterferometerConfig(resource, _PHI, loss))
+        s2 = output_state(InterferometerConfig(resource, _PHI + 0.2, loss))
         rows.append(
             (
                 f"fidelity tmsv {lname}",
                 bures_fidelity(s1, s2),
                 fock.uhlmann_fidelity(
-                    fock.fock_output_state(resource, phi, loss, cutoff),
-                    fock.fock_output_state(resource, phi + 0.2, loss, cutoff),
+                    fock.fock_output_state(resource, _PHI, loss, cutoff),
+                    fock.fock_output_state(resource, _PHI + 0.2, loss, cutoff),
                 ),
             )
         )
         rows.append(
             (
                 f"qfi      tmsv {lname}",
-                qfi_numeric(resource, phi, loss).qfi,
-                fock.oracle_qfi(resource, phi, loss, cutoff),
+                qfi_numeric(resource, _PHI, loss).qfi,
+                fock.oracle_qfi(resource, _PHI, loss, cutoff),
             )
         )
 
