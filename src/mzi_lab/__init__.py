@@ -56,13 +56,9 @@ from .states import (
     apply_loss,
     apply_symplectic,
     beam_splitter,
-    is_physical,
     make_input,
-    mean_photon_number,
-    phase_shifter,
     reduce_to_mode,
     symmetric_moment,
-    vacuum_state,
 )
 
 __version__ = "0.1.0"

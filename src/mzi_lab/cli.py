@@ -23,30 +23,16 @@ from .optimize import (
     SweepSpec,
     SweepVariable,
     _chain,
+    _sweep_row,
     run_sweep,
     scheme_sensitivity,
     snl_threshold,
 )
-from .qfi import snl, snl_tie_bound
+from .qfi import snl
 from .states import ResourceKind
-
-_SCHEMES = {s.value: s for s in Scheme}
-_RESOURCES = {k.value: k for k in ResourceKind}
-_LOSS_KINDS = {"symmetric": LossKind.SYMMETRIC, "one-arm": LossKind.ONE_ARM}
 
 _SWEEP_FIELDS = tuple(field.name for field in dataclasses.fields(SweepRow))
 _POINT_FIELDS = _SWEEP_FIELDS[2:-1]  # a sweep row without variable, value and status
-_THRESHOLD_FIELDS = (
-    "scheme",
-    "resource",
-    "nbar",
-    "loss_kind",
-    "loss_rate",
-    "bracket_lo",
-    "bracket_hi",
-    "iterations",
-    "status",
-)
 
 
 def _fmt(value):
@@ -68,7 +54,7 @@ def _json_value(value):
 
 
 def emit(rows, fields, fmt, out):
-    """Serialize rows (dicts) with a fixed field order."""
+    """Serialize rows (dicts, such as ``vars`` of a row dataclass) with a fixed field order."""
     lines = []
     if fmt == "csv":
         lines.append(",".join(fields))
@@ -151,33 +137,16 @@ def figure_presets():
 
 
 def _cmd_point(args):
-    scheme = _SCHEMES[args.scheme]
-    kind = _RESOURCES[args.resource]
-    loss_kind = _LOSS_KINDS[args.loss]
+    scheme, kind, loss_kind = Scheme(args.scheme), ResourceKind(args.resource), LossKind(args.loss)
     benchmark = snl(args.nbar)  # validates nbar before any search runs
     loss = loss_kind.model(args.rate)
     if args.mu is not None:
         point = scheme_sensitivity(scheme, kind, args.nbar, loss, mu=args.mu)
     else:
         point = _chain(scheme, kind, optimize_mu=not args.fixed_mu)(args.nbar, loss)
-    row = {
-        "scheme": scheme.value,
-        "resource": kind.value,
-        "nbar": float(args.nbar),
-        "loss_kind": args.loss,
-        "loss_rate": float(args.rate),
-        "phi_star": point.phi_star,
-        "mu": point.mu,
-        "delta2phi": point.delta2phi,
-        "snl": benchmark,
-        "beats_snl": bool(point.delta2phi < snl_tie_bound(benchmark)),
-    }
-    emit([row], _POINT_FIELDS, args.format, args.out)
+    row = _sweep_row(None, None, scheme, kind, float(args.nbar), loss_kind, float(args.rate), benchmark, point, "ok")
+    emit([vars(row)], _POINT_FIELDS, args.format, args.out)
     return 0
-
-
-def _sweep_rows(specs, threads):
-    return [dataclasses.asdict(row) for spec in specs for row in run_sweep(spec, threads=threads)]
 
 
 def _cmd_sweep(args):
@@ -191,41 +160,37 @@ def _cmd_sweep(args):
     else:
         if args.variable is None:
             raise UnsupportedConfiguration("sweep needs either --figure or --variable")
-        variable = (
-            SweepVariable.LOSS_RATE if args.variable == "loss-rate" else SweepVariable.MEAN_PHOTON_NUMBER
-        )
         specs = [
             SweepSpec(
-                variable=variable,
+                variable=SweepVariable(args.variable),
                 lo=args.lo,
                 hi=args.hi,
                 points=args.points,
-                schemes=tuple(_SCHEMES[s] for s in args.scheme),
-                resources=tuple(_RESOURCES[r] for r in args.resource),
-                loss_kind=_LOSS_KINDS[args.loss],
+                schemes=tuple(Scheme(s) for s in args.scheme),
+                resources=tuple(ResourceKind(r) for r in args.resource),
+                loss_kind=LossKind(args.loss),
                 nbar=args.nbar,
                 loss_rate=args.rate,
                 optimize_mu=not args.fixed_mu,
             )
         ]
-    emit(_sweep_rows(specs, threads), _SWEEP_FIELDS, args.format, args.out)
+    rows = [vars(row) for spec in specs for row in run_sweep(spec, threads=threads)]
+    emit(rows, _SWEEP_FIELDS, args.format, args.out)
     return 0
 
 
 def _cmd_threshold(args):
-    scheme = _SCHEMES[args.scheme]
-    kind = _RESOURCES[args.resource]
     result = snl_threshold(
-        scheme,
-        kind,
+        Scheme(args.scheme),
+        ResourceKind(args.resource),
         args.nbar,
-        _LOSS_KINDS[args.loss],
+        LossKind(args.loss),
         optimize_mu=not args.fixed_mu,
         tol=args.tol,
     )
     row = {
-        "scheme": scheme.value,
-        "resource": kind.value,
+        "scheme": args.scheme,
+        "resource": args.resource,
         "nbar": float(args.nbar),
         "loss_kind": args.loss,
         "loss_rate": result.loss_rate,
@@ -234,7 +199,7 @@ def _cmd_threshold(args):
         "iterations": result.iterations,
         "status": result.status,
     }
-    emit([row], _THRESHOLD_FIELDS, args.format, args.out)
+    emit([row], list(row), args.format, args.out)
     return 0
 
 
@@ -243,6 +208,10 @@ def _cmd_validate(args):
 
     failures = validate.run_cross_checks(cutoff=args.cutoff, stream=sys.stdout)
     return 1 if failures else 0
+
+
+def _names(enum):
+    return sorted(member.value for member in enum)
 
 
 def build_parser():
@@ -258,10 +227,10 @@ def build_parser():
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     def add_config(p):
-        p.add_argument("--scheme", choices=sorted(_SCHEMES), required=True)
-        p.add_argument("--resource", choices=sorted(_RESOURCES), required=True)
+        p.add_argument("--scheme", choices=_names(Scheme), required=True)
+        p.add_argument("--resource", choices=_names(ResourceKind), required=True)
         p.add_argument("--nbar", type=float, default=10.0)
-        p.add_argument("--loss", choices=sorted(_LOSS_KINDS), default="symmetric")
+        p.add_argument("--loss", choices=_names(LossKind), default="symmetric")
         p.add_argument(
             "--fixed-mu",
             action="store_true",
@@ -277,17 +246,17 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter sweep or figure preset")
     p_sweep.add_argument("--figure", choices=sorted(figure_presets()), default=None)
-    p_sweep.add_argument("--variable", choices=("loss-rate", "nbar"), default=None)
+    p_sweep.add_argument("--variable", choices=_names(SweepVariable), default=None)
     p_sweep.add_argument("--lo", type=float, default=0.0)
     p_sweep.add_argument("--hi", type=float, default=0.6)
     p_sweep.add_argument("--points", type=int, default=21)
-    p_sweep.add_argument("--scheme", nargs="+", choices=sorted(_SCHEMES), default=["qfi"])
+    p_sweep.add_argument("--scheme", nargs="+", choices=_names(Scheme), default=["qfi"])
     p_sweep.add_argument(
-        "--resource", nargs="+", choices=sorted(_RESOURCES), default=sorted(_RESOURCES)
+        "--resource", nargs="+", choices=_names(ResourceKind), default=_names(ResourceKind)
     )
     p_sweep.add_argument("--nbar", type=float, default=10.0, help="fixed energy for loss sweeps")
     p_sweep.add_argument("--rate", type=float, default=0.0, help="fixed loss rate for nbar sweeps")
-    p_sweep.add_argument("--loss", choices=sorted(_LOSS_KINDS), default="symmetric")
+    p_sweep.add_argument("--loss", choices=_names(LossKind), default="symmetric")
     p_sweep.add_argument("--fixed-mu", action="store_true")
     add_io(p_sweep)
     p_sweep.set_defaults(fn=_cmd_sweep)

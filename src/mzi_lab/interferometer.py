@@ -55,17 +55,6 @@ class LossModel:
         """Loss only in the phase-shifter arm (mode a)."""
         return cls(float(eta), 1.0)
 
-    @classmethod
-    def from_stages(cls, eta_p=1.0, eta_a2=1.0, eta_a3=1.0, eta_b2=1.0, eta_b3=1.0, eta_d=1.0):
-        """Collapse preparation, evolution and detection losses per arm.
-
-        All loss points of the physical interferometer commute with the
-        beam splitters and the phase shifter once preparation and detection
-        losses are arm-symmetric, so they multiply into a single pair of
-        evolution transmissivities.
-        """
-        return cls(eta_p * eta_a2 * eta_a3 * eta_d, eta_p * eta_b2 * eta_b3 * eta_d)
-
     @property
     def is_lossless(self):
         return self.eta_a == 1.0 and self.eta_b == 1.0

@@ -34,7 +34,6 @@ __all__ = [
     "SweepVariable",
     "SweepSpec",
     "SweepRow",
-    "golden_section",
     "optimal_csv_ratio",
     "scheme_sensitivity",
     "snl_threshold",
@@ -786,6 +785,8 @@ class SweepSpec:
     optimize_mu: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidArgument(f"sweep bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise InvalidArgument(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.points < 2:
@@ -812,6 +813,15 @@ class SweepRow:
     status: str
 
 
+def _sweep_row(variable, value, scheme, kind, nbar, loss_kind, loss_rate, benchmark, point, status):
+    """The row of one cell, whose ``point`` is ``None`` where it failed; a tie with the SNL does not beat it."""
+    phi_star, mu, delta2phi = (math.nan,) * 3 if point is None else (point.phi_star, point.mu, point.delta2phi)
+    return SweepRow(
+        variable, value, scheme.value, kind.value, nbar, loss_kind.value, loss_rate, phi_star, mu, delta2phi,
+        benchmark, bool(delta2phi < snl_tie_bound(benchmark)), status,
+    )
+
+
 #: Grid points per evaluation chunk.  Warm starts for the CSV squeezing
 #: fraction never cross a chunk boundary, so results are independent of how
 #: chunks are distributed over workers.
@@ -833,18 +843,15 @@ def _sweep_chunk(spec: SweepSpec, values):
         loss = spec.loss_kind.model(loss_rate)
         for scheme in spec.schemes:
             for kind in spec.resources:
-                benchmark = phi_star = mu = delta2phi = math.nan
-                status = "ok"
+                benchmark, point, status = math.nan, None, "ok"
                 try:
                     benchmark = snl(nbar)
                     point = chains[scheme, kind](nbar, loss)
-                    phi_star, mu, delta2phi = point.phi_star, point.mu, point.delta2phi
                 except MziLabError as exc:
                     status = type(exc).__name__
-                rows.append(SweepRow(
-                    spec.variable.value, float(value), scheme.value, kind.value, nbar,
-                    spec.loss_kind.value, loss_rate, phi_star, mu, delta2phi, benchmark,
-                    bool(delta2phi < snl_tie_bound(benchmark)), status,
+                rows.append(_sweep_row(
+                    spec.variable.value, float(value), scheme, kind, nbar, spec.loss_kind, loss_rate, benchmark,
+                    point, status,
                 ))
     return rows
 

@@ -41,6 +41,8 @@ def _result(qfi):
     qfi = float(qfi)
     if not (math.isfinite(qfi) and qfi > 0.0):
         raise NumericFailure(f"Fisher information must be finite and > 0, got {qfi}")
+    if not math.isfinite(1.0 / qfi):
+        raise NumericFailure(f"Fisher information {qfi} is too small for a finite bound")
     return QfiResult(qfi=qfi, qcrb=1.0 / qfi)
 
 
@@ -191,7 +193,10 @@ def snl(nbar: float) -> float:
     """Shot-noise limit ``1/(2 nbar)``, the coherent-state benchmark."""
     if not (math.isfinite(nbar) and nbar > 0.0):
         raise InvalidArgument(f"nbar must be finite and > 0, got {nbar}")
-    return 1.0 / (2.0 * nbar)
+    benchmark = 1.0 / (2.0 * nbar)
+    if not math.isfinite(benchmark):
+        raise InvalidArgument(f"nbar {nbar} is too small: its shot-noise limit 1/(2 nbar) overflows")
+    return benchmark
 
 
 def snl_tie_bound(benchmark: float) -> float:

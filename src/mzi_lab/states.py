@@ -36,16 +36,12 @@ __all__ = [
     "SingleModeState",
     "ResourceKind",
     "ResourceSpec",
-    "vacuum_state",
     "make_input",
-    "mean_photon_number",
     "beam_splitter",
-    "phase_shifter",
     "apply_symplectic",
     "apply_loss",
     "reduce_to_mode",
     "symmetric_moment",
-    "is_physical",
 ]
 
 # Quadrature indices in the fixed (X_a, P_a, X_b, P_b) ordering.
@@ -184,10 +180,6 @@ class ResourceSpec:
         return self.alpha**2
 
 
-def vacuum_state():
-    return GaussianState(np.eye(4) / 2.0, np.zeros(4))
-
-
 def _squeezed_vacuum_cov(r):
     # Anti-squeezed in X, squeezed in P (see module docstring).
     return np.diag([math.exp(2.0 * r) / 2.0, math.exp(-2.0 * r) / 2.0])
@@ -222,11 +214,6 @@ def make_input(spec: ResourceSpec) -> GaussianState:
     return GaussianState(cov, mean)
 
 
-def mean_photon_number(state: GaussianState) -> float:
-    """Total mean photon number ``(tr cov + |mean|^2)/2 - 1`` of a two-mode state."""
-    return (np.trace(state.cov) + state.mean @ state.mean) / 2.0 - 1.0
-
-
 def beam_splitter(theta: float) -> np.ndarray:
     """Symplectic matrix of a beam splitter mixing modes a and b.
 
@@ -240,19 +227,6 @@ def beam_splitter(theta: float) -> np.ndarray:
             [0.0, c, 0.0, s],
             [-s, 0.0, c, 0.0],
             [0.0, -s, 0.0, c],
-        ]
-    )
-
-
-def phase_shifter(phi: float) -> np.ndarray:
-    """Symplectic matrix of the phase shifter ``a -> e^{-i phi} a`` on mode a."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array(
-        [
-            [c, s, 0.0, 0.0],
-            [-s, c, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
         ]
     )
 
@@ -341,11 +315,3 @@ def symmetric_moment(state: GaussianState, indices) -> float:
         return float(pair_terms + mean_terms + d[i] * d[j] * d[k] * d[l])
     raise InvalidArgument(f"moments of order {len(idx)} are not supported (use 1, 2 or 4)")
 
-
-def is_physical(state, tol=1e-10):
-    """Check the uncertainty relation ``cov + i Omega/2 >= 0``."""
-    if isinstance(state, SingleModeState):
-        m = state.cov + 0.5j * _OMEGA_1
-    else:
-        m = state.cov + 0.5j * OMEGA
-    return float(np.linalg.eigvalsh(m).min()) >= -tol

@@ -1,11 +1,25 @@
-"""Shared helpers: random physical Gaussian states built from symplectics."""
+"""Shared helpers: random physical Gaussian states built from symplectics, and state checks."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mzi_lab import GaussianState, beam_splitter, phase_shifter
+from mzi_lab import OMEGA, GaussianState, beam_splitter
+
+
+def vacuum():
+    return GaussianState(np.eye(4) / 2.0, np.zeros(4))
+
+
+def photon_number(state):
+    """Total mean photon number ``(tr cov + |mean|^2)/2 - 1`` of a two-mode state."""
+    return (np.trace(state.cov) + state.mean @ state.mean) / 2.0 - 1.0
+
+
+def is_physical(state, tol=1e-10):
+    """Check the uncertainty relation ``cov + i Omega/2 >= 0``."""
+    return float(np.linalg.eigvalsh(state.cov + 0.5j * OMEGA).min()) >= -tol
 
 
 def rotation_pair(theta_a, theta_b):

@@ -156,6 +156,15 @@ class TestSweep:
         code, _ = run_cli(capsys, "sweep")
         assert code == 2
 
+    @pytest.mark.parametrize("lo, hi", [("1", "inf"), ("-inf", "1")])
+    def test_non_finite_bound_is_usage_error(self, capsys, lo, hi):
+        code = main(["sweep", "--variable", "nbar", f"--lo={lo}", f"--hi={hi}", "--points", "3",
+                     "--scheme", "qfi", "--resource", "tmsv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "finite" in captured.err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         args = [
@@ -299,7 +308,8 @@ class TestValidate:
 
 
 class TestNonFiniteAndHugeEnergy:
-    @pytest.mark.parametrize("nbar", ["inf", "nan"])
+    # 1e-320 is finite and > 0, but its shot-noise limit 1/(2 nbar) overflows.
+    @pytest.mark.parametrize("nbar", ["inf", "nan", "1e-320"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -315,7 +325,7 @@ class TestNonFiniteAndHugeEnergy:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "nbar" in captured.err
 
-    @pytest.mark.parametrize("nbar", ["inf", "nan"])
+    @pytest.mark.parametrize("nbar", ["inf", "nan", "1e-320"])
     def test_sweep_rows_fail_alone(self, capsys, nbar):
         code, out = run_cli(
             capsys,

@@ -13,13 +13,13 @@ from mzi_lab import (
     apply_symplectic,
     beam_splitter,
     make_input,
-    mean_photon_number,
     output_mode_a,
     output_state,
-    phase_shifter,
     reduce_to_mode,
 )
 from mzi_lab.interferometer import output_grid
+
+from conftest import photon_number, rotation_pair
 
 
 class TestLossModel:
@@ -27,11 +27,6 @@ class TestLossModel:
         assert LossModel.symmetric(0.8) == LossModel(0.8, 0.8)
         assert LossModel.one_arm(0.8) == LossModel(0.8, 1.0)
         assert LossModel.lossless().is_lossless
-
-    def test_from_stages_multiplies(self):
-        model = LossModel.from_stages(eta_p=0.9, eta_a2=0.8, eta_a3=0.7, eta_b2=0.95, eta_b3=0.85, eta_d=0.99)
-        assert model.eta_a == pytest.approx(0.9 * 0.8 * 0.7 * 0.99)
-        assert model.eta_b == pytest.approx(0.9 * 0.95 * 0.85 * 0.99)
 
     def test_range_check(self):
         with pytest.raises(InvalidArgument):
@@ -52,7 +47,7 @@ class TestOutputState:
         cfg = InterferometerConfig(resource, 0.7, LossModel(1.0, 1.0))
         direct = apply_symplectic(
             make_input(resource),
-            beam_splitter(-math.pi / 4.0) @ phase_shifter(0.7) @ beam_splitter(math.pi / 4.0),
+            beam_splitter(-math.pi / 4.0) @ rotation_pair(0.7, 0.0) @ beam_splitter(math.pi / 4.0),
         )
         out = output_state(cfg)
         assert np.allclose(out.cov, direct.cov, atol=1e-14)
@@ -64,7 +59,7 @@ class TestOutputState:
         loss = LossModel(0.7, 0.45)
         wired = output_state(InterferometerConfig(resource, 1.1, loss))
         state = apply_symplectic(make_input(resource), beam_splitter(math.pi / 4.0))
-        state = apply_symplectic(state, phase_shifter(1.1))
+        state = apply_symplectic(state, rotation_pair(1.1, 0.0))
         state = apply_loss(state, loss.eta_a, loss.eta_b)
         swapped = apply_symplectic(state, beam_splitter(-math.pi / 4.0))
         assert np.allclose(wired.cov, swapped.cov, atol=1e-13)
@@ -72,12 +67,12 @@ class TestOutputState:
 
     def test_energy_monotonicity(self):
         resource = ResourceSpec.csv(1.1, 0.9)
-        nbar_in = mean_photon_number(make_input(resource))
+        nbar_in = photon_number(make_input(resource))
         lossless = output_state(InterferometerConfig(resource, 0.5, LossModel.lossless()))
-        assert mean_photon_number(lossless) == pytest.approx(nbar_in, rel=1e-12)
+        assert photon_number(lossless) == pytest.approx(nbar_in, rel=1e-12)
         for loss in (LossModel.symmetric(0.8), LossModel.one_arm(0.6), LossModel(0.9, 0.3)):
             lossy = output_state(InterferometerConfig(resource, 0.5, loss))
-            assert mean_photon_number(lossy) < nbar_in
+            assert photon_number(lossy) < nbar_in
 
     def test_phase_periodicity(self):
         cfg0 = InterferometerConfig(ResourceSpec.tmsv(0.7), 0.9, LossModel.symmetric(0.85))

@@ -5,7 +5,7 @@ of :mod:`mzi_lab.measurements`, so comparing a scalar entry point with the
 grid compares the kernel with itself.  The reference below is built only
 from the state-level building blocks instead: the pipeline is composed from
 ``make_input``, ``beam_splitter``, ``apply_symplectic``, ``apply_loss`` and
-``phase_shifter``; quadrature moments come from a mode rotation and
+a mode-a rotation; quadrature moments come from a mode rotation and
 ``symmetric_moment``; parity from the 2x2 Wigner formula; and the slope is a
 Richardson-refined central difference of the reference signal.
 
@@ -35,10 +35,8 @@ from mzi_lab import (
     apply_loss,
     apply_symplectic,
     beam_splitter,
-    is_physical,
     make_input,
     output_state,
-    phase_shifter,
     qfi_closed,
     sensitivity,
     symmetric_moment,
@@ -46,7 +44,7 @@ from mzi_lab import (
 from mzi_lab.interferometer import output_grid, phase_coefficients
 from mzi_lab.measurements import DEGENERATE_SLOPE, _grid_parity, sensitivity_profile
 
-from conftest import rotation_pair
+from conftest import is_physical, rotation_pair
 
 SLOPE_STEP = 1e-5
 
@@ -54,7 +52,7 @@ SLOPE_STEP = 1e-5
 def reference_state(resource, phi, loss):
     state = apply_symplectic(make_input(resource), beam_splitter(math.pi / 4.0))
     state = apply_loss(state, loss.eta_a, loss.eta_b)
-    return apply_symplectic(state, beam_splitter(-math.pi / 4.0) @ phase_shifter(phi))
+    return apply_symplectic(state, beam_splitter(-math.pi / 4.0) @ rotation_pair(phi, 0.0))
 
 
 def reference_signal_variance(state, obs):

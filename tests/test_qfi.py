@@ -20,10 +20,9 @@ from mzi_lab import (
     qfi_closed,
     qfi_numeric,
     snl,
-    vacuum_state,
 )
 from mzi_lab import fock
-from conftest import random_physical_state
+from conftest import random_physical_state, vacuum
 
 
 def coherent_state(alpha_x, alpha_p=0.0):
@@ -52,7 +51,7 @@ class TestBuresFidelity:
         # |<0|S(r)|0>| = 1/sqrt(cosh r)
         r = 0.8
         squeezed = make_input(ResourceSpec.csv(0.0, r))
-        vac = vacuum_state()
+        vac = vacuum()
         assert bures_fidelity(vac, squeezed) == pytest.approx(math.cosh(r) ** -0.5, rel=1e-12)
 
     def test_symmetry(self, rng):
@@ -250,6 +249,10 @@ class TestDegenerateFisherInformation:
     def test_zero_energy_is_a_numeric_failure(self):
         with pytest.raises(NumericFailure):
             qfi_closed(ResourceSpec.tmsv(0.0), LossModel.lossless())
+
+    def test_information_whose_inverse_overflows_is_a_numeric_failure(self):
+        with pytest.raises(NumericFailure):
+            qfi_closed(ResourceSpec.tmsv(1e-160), LossModel.lossless())
 
     def test_closed_form_division_by_zero_is_a_numeric_failure(self):
         # e^r - 2 eta sinh r rounds to 0 at this squeezing

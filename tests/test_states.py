@@ -15,15 +15,11 @@ from mzi_lab import (
     apply_loss,
     apply_symplectic,
     beam_splitter,
-    is_physical,
     make_input,
-    mean_photon_number,
-    phase_shifter,
     reduce_to_mode,
     symmetric_moment,
-    vacuum_state,
 )
-from conftest import random_physical_state
+from conftest import is_physical, photon_number, random_physical_state, rotation_pair, vacuum
 
 
 class TestConstructors:
@@ -35,7 +31,7 @@ class TestConstructors:
     def test_tmsv_mean_photon_number(self):
         s = math.asinh(math.sqrt(5.0))
         state = make_input(ResourceSpec.tmsv(s))
-        assert mean_photon_number(state) == pytest.approx(10.0, abs=1e-12)
+        assert photon_number(state) == pytest.approx(10.0, abs=1e-12)
 
     def test_csv_squeezing_convention(self):
         # X is anti-squeezed: mode-b block diag(e^2, e^-2)/2 for r = 1.
@@ -68,20 +64,17 @@ class TestConstructors:
         for kind, mu in ((ResourceKind.CSV, 0.37), (ResourceKind.TMSV, None), (ResourceKind.COHERENT, None)):
             spec = ResourceSpec.from_energy(kind, 8.5, mu)
             assert spec.nbar == pytest.approx(8.5, rel=1e-12)
-            assert mean_photon_number(make_input(spec)) == pytest.approx(8.5, rel=1e-12)
+            assert photon_number(make_input(spec)) == pytest.approx(8.5, rel=1e-12)
 
 
 class TestMeanPhotonNumber:
-    def test_vacuum(self):
-        assert mean_photon_number(vacuum_state()) == pytest.approx(0.0, abs=1e-15)
-
     def test_csv_formula(self):
         state = make_input(ResourceSpec.csv(1.3, 0.8))
-        assert mean_photon_number(state) == pytest.approx(1.3**2 + math.sinh(0.8) ** 2, rel=1e-12)
+        assert photon_number(state) == pytest.approx(1.3**2 + math.sinh(0.8) ** 2, rel=1e-12)
 
     def test_tmsv_s_equal_one(self):
         state = make_input(ResourceSpec.tmsv(1.0))
-        assert mean_photon_number(state) == pytest.approx(2.7621956910836314, rel=1e-14)
+        assert photon_number(state) == pytest.approx(2.7621956910836314, rel=1e-14)
 
 
 class TestSymplectics:
@@ -104,25 +97,10 @@ class TestSymplectics:
     def test_beam_splitter_inverse_pair(self):
         assert np.allclose(beam_splitter(0.63) @ beam_splitter(-0.63), np.eye(4), atol=1e-15)
 
-    def test_phase_shifter_zero_is_identity(self):
-        assert np.allclose(phase_shifter(0.0), np.eye(4))
-
-    def test_phase_shifter_quarter_turn(self):
-        m = phase_shifter(math.pi / 2.0)
-        x = np.array([1.0, 0.0, 0.0, 0.0])
-        p = np.array([0.0, 1.0, 0.0, 0.0])
-        assert np.allclose(m @ x, [0.0, -1.0, 0.0, 0.0], atol=1e-16)
-        assert np.allclose(m @ p, [1.0, 0.0, 0.0, 0.0], atol=1e-16)
-
-    def test_phase_shifter_group_property(self):
-        assert np.allclose(
-            phase_shifter(0.4) @ phase_shifter(1.1), phase_shifter(1.5), atol=1e-15
-        )
-
     @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4.0, -math.pi / 4.0, 2.0])
     def test_generated_matrices_are_symplectic(self, theta):
-        for m in (beam_splitter(theta), phase_shifter(theta)):
-            assert np.abs(m @ OMEGA @ m.T - OMEGA).max() <= 1e-12
+        m = beam_splitter(theta)
+        assert np.abs(m @ OMEGA @ m.T - OMEGA).max() <= 1e-12
 
 
 class TestApplySymplectic:
@@ -133,7 +111,7 @@ class TestApplySymplectic:
         assert np.allclose(out.mean, state.mean)
 
     def test_vacuum_invariant_under_beam_splitter(self):
-        out = apply_symplectic(vacuum_state(), beam_splitter(0.77))
+        out = apply_symplectic(vacuum(), beam_splitter(0.77))
         assert np.allclose(out.cov, np.eye(4) / 2.0, atol=1e-15)
 
     def test_tmsv_decouples_on_balanced_splitter(self):
@@ -145,7 +123,7 @@ class TestApplySymplectic:
 
     def test_non_symplectic_rejected(self):
         with pytest.raises(InvalidArgument):
-            apply_symplectic(vacuum_state(), np.diag([2.0, 2.0, 1.0, 1.0]))
+            apply_symplectic(vacuum(), np.diag([2.0, 2.0, 1.0, 1.0]))
 
 
 class TestApplyLoss:
@@ -168,19 +146,19 @@ class TestApplyLoss:
 
     def test_out_of_range_transmissivity(self):
         with pytest.raises(InvalidArgument):
-            apply_loss(vacuum_state(), 1.2, 1.0)
+            apply_loss(vacuum(), 1.2, 1.0)
 
     def test_commutes_with_phase_shifter(self, rng):
         state = random_physical_state(rng)
-        first = apply_loss(apply_symplectic(state, phase_shifter(0.9)), 0.7, 0.4)
-        second = apply_symplectic(apply_loss(state, 0.7, 0.4), phase_shifter(0.9))
+        first = apply_loss(apply_symplectic(state, rotation_pair(0.9, 0.0)), 0.7, 0.4)
+        second = apply_symplectic(apply_loss(state, 0.7, 0.4), rotation_pair(0.9, 0.0))
         assert np.allclose(first.cov, second.cov, atol=1e-13)
         assert np.allclose(first.mean, second.mean, atol=1e-13)
 
 
 class TestReduceToMode:
     def test_vacuum(self):
-        mode = reduce_to_mode(vacuum_state(), Mode.A)
+        mode = reduce_to_mode(vacuum(), Mode.A)
         assert np.allclose(mode.cov, np.eye(2) / 2.0)
 
     def test_tmsv_reduces_to_thermal(self):
@@ -234,7 +212,7 @@ def _char_function_moment(state, indices, h=0.05):
 
 class TestSymmetricMoment:
     def test_vacuum_second_moment(self):
-        assert symmetric_moment(vacuum_state(), (0, 0)) == pytest.approx(0.5, abs=1e-15)
+        assert symmetric_moment(vacuum(), (0, 0)) == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_mean_fourth_moment_wick(self, rng):
         state = random_physical_state(rng)
@@ -244,11 +222,11 @@ class TestSymmetricMoment:
 
     def test_unsupported_length(self):
         with pytest.raises(InvalidArgument):
-            symmetric_moment(vacuum_state(), (0, 1, 2))
+            symmetric_moment(vacuum(), (0, 1, 2))
 
     def test_out_of_range_index(self):
         with pytest.raises(InvalidArgument):
-            symmetric_moment(vacuum_state(), (4,))
+            symmetric_moment(vacuum(), (4,))
 
     @pytest.mark.parametrize("indices", [(1,), (0, 1), (2, 2), (0, 1, 2, 3), (0, 0, 2, 2), (1, 1, 1, 1)])
     def test_matches_characteristic_function(self, rng, indices):
@@ -273,5 +251,5 @@ class TestPhysicality:
     @given(physical_states(), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
     @settings(max_examples=40, deadline=None)
     def test_symplectic_preserves_physicality(self, state, theta, phi):
-        out = apply_symplectic(state, beam_splitter(theta) @ phase_shifter(phi))
+        out = apply_symplectic(state, beam_splitter(theta) @ rotation_pair(phi, 0.0))
         assert is_physical(out)
