@@ -214,8 +214,20 @@ def _names(enum):
     return sorted(member.value for member in enum)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes every negative float (``-1e-3``, ``-inf``) for a value, so the library checks it; argparse
+    alone knows only ``-1`` and ``-.5`` and reads the rest as unknown options.  Subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None  # a value, not an option
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mzi-lab",
         description="Phase-estimation sensitivities of a lossy Mach-Zehnder interferometer "
         "with Gaussian input resources.",

@@ -33,11 +33,6 @@ from .interferometer import LossModel
 from .states import ResourceKind, ResourceSpec
 
 __all__ = [
-    "FockState",
-    "build_fock_input",
-    "apply_beam_splitter",
-    "apply_phase",
-    "apply_loss_fock",
     "fock_output_state",
     "oracle_expectation",
     "oracle_qfi",

@@ -133,7 +133,7 @@ def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     return covs, means
 
 
-# B2·R(φ) = P0 + cos φ·P1 + sin φ·P2, as the phase rotates mode a only.
+# B2·R(φ) = P0 + cos φ·P1 + sin φ·P2, as the phase rotates mode a only; _J is the phase shifter's generator.
 _J = np.diag([1.0, 0.0, 0.0], 1) - np.diag([1.0, 0.0, 0.0], -1)
 _POST = _B2 @ [np.diag([0.0, 0.0, 1.0, 1.0]), np.diag([1.0, 1.0, 0.0, 0.0]), _J]
 

@@ -13,6 +13,7 @@ variance, while a parabola fitted a safe distance away recovers the limit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,28 +69,6 @@ class LossKind(Enum):
         if self is LossKind.SYMMETRIC:
             return LossModel.symmetric(eta)
         return LossModel.one_arm(eta)
-
-
-def _safe(fn, numeric_failures):
-    """``fn`` with library errors and non-finite values mapped to ``inf``.
-
-    ``numeric_failures`` collects the message of each :class:`NumericFailure`;
-    a kept exception would keep its frames alive.
-    """
-
-    def wrapped(x):
-        try:
-            value = fn(x)
-        except NumericFailure as exc:
-            numeric_failures.append(str(exc))
-            return math.inf
-        except MziLabError:
-            return math.inf
-        if not math.isfinite(value):
-            return math.inf
-        return value
-
-    return wrapped
 
 
 def golden_section(fn, lo, hi, tol=1e-8):
@@ -188,7 +167,6 @@ class SchemePoint:
     delta2phi: float
     phi_star: float
     mu: float
-    angles: tuple | None = None
 
 
 #: 16 phases resolve a quadrature error V/S²: V, S and g = V′S − 2VS′ have degree ≤ 4, 2 and 6.
@@ -433,7 +411,7 @@ def _double_hd_grid(coefficients):
 
 
 def _min_double_hd(resource, loss):
-    """Jointly optimize phase and both LO angles for the quadrature-sum scheme.
+    """Jointly optimize phase and both LO angles for the quadrature-sum scheme, as ``(phi_star, value)``.
 
     The error does not change under (θa, θb) → (θa + π, θb + π), nor under
     (φ, θa, θb) → (φ + π, θb, θa): a π phase on arm a swaps the output ports
@@ -454,8 +432,7 @@ def _min_double_hd(resource, loss):
         return value
 
     spacing = _TWO_PI / 180
-    phi_star, value = _refine_minimum(fn, phi0 - spacing, phi0 + spacing, tol=2e-4)
-    return phi_star, value, (state["ta"] % _TWO_PI, state["tb"] % _TWO_PI)
+    return _refine_minimum(fn, phi0 - spacing, phi0 + spacing, tol=2e-4)
 
 
 _P_QUADRATURE = Observable.quadrature(math.pi / 2.0)
@@ -477,12 +454,10 @@ def _measurement_observable(scheme, kind):
 
 
 def _measurement_optimum(scheme, resource, loss):
+    """Phase-optimized error of a measurement scheme, as ``(phi_star, value)`` with φ* in [0, 2π)."""
     obs = _measurement_observable(scheme, resource.kind)
-    if obs is None:
-        phi_star, value, angles = _min_double_hd(resource, loss)
-    else:
-        (phi_star, value), angles = _min_over_phi(resource, loss, obs), None
-    return _wrap_angle(phi_star), value, angles
+    phi_star, value = _min_double_hd(resource, loss) if obs is None else _min_over_phi(resource, loss, obs)
+    return _wrap_angle(phi_star), value
 
 
 def _fisher_information(resource, loss):
@@ -493,6 +468,18 @@ def _fisher_information(resource, loss):
         except UnsupportedConfiguration:
             pass
     return qfi_numeric(resource, 0.0, loss).qfi
+
+
+def _scan_mu(fn, points, tol):
+    """``(mu, value)`` minimizing ``fn`` over a grid of ``points`` fractions in [0, 1], then by golden
+    section between the best cell's neighbours, clamped to [0, 1]; a grid with no finite value is not refined."""
+    grid = np.linspace(0.0, 1.0, points).tolist()  # Python floats: a probe's mu may be emitted
+    values = [fn(m) for m in grid]
+    i = int(np.argmin(values))
+    if not math.isfinite(values[i]):
+        return grid[i], values[i]
+    mu, value = golden_section(fn, grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], tol)
+    return min(max(mu, 0.0), 1.0), value
 
 
 def optimal_csv_ratio(nbar, loss: LossModel, tol=1e-6):
@@ -508,13 +495,7 @@ def optimal_csv_ratio(nbar, loss: LossModel, tol=1e-6):
         resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, min(max(mu, 0.0), 1.0))
         return -_fisher_information(resource, loss)
 
-    grid = np.linspace(0.0, 1.0, 33)
-    values = [negative_qfi(m) for m in grid]
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    mu_star, neg = golden_section(negative_qfi, lo, hi, tol)
-    mu_star = min(max(mu_star, 0.0), 1.0)
+    mu_star, neg = _scan_mu(negative_qfi, 33, tol)
     return mu_star, -neg
 
 
@@ -542,10 +523,19 @@ def _minimize_over_mu(value_fn, tol=1e-5, seed=None, stop_below=None):
         NoOptimum: if it ends with no finite value otherwise.
     """
     numeric_failures = []
-    safe_fn = _safe(value_fn, numeric_failures)
 
     def fn(mu):
-        value = safe_fn(mu)
+        # Library errors and non-finite values count as inf.  Only the message of a
+        # NumericFailure is kept: a kept exception would keep its frames alive.
+        try:
+            value = value_fn(mu)
+        except NumericFailure as exc:
+            numeric_failures.append(str(exc))
+            return math.inf
+        except MziLabError:
+            return math.inf
+        if not math.isfinite(value):
+            return math.inf
         if stop_below is not None and value < stop_below and 0.0 < mu < 1.0:
             raise _BelowTarget(float(mu), value)
         return value
@@ -564,14 +554,9 @@ def _mu_search(fn, tol, seed, numeric_failures):
         stuck_high = hi - mu < 5e-3 and hi < 1.0
         if math.isfinite(value) and not (stuck_low or stuck_high):
             return min(max(mu, 0.0), 1.0), value
-    grid = np.linspace(0.0, 1.0, 21)
-    values = [fn(m) for m in grid]
-    i = int(np.argmin(values))
-    if math.isfinite(values[i]):
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        mu, value = golden_section(fn, lo, hi, tol)
-        if math.isfinite(value):
-            return min(max(mu, 0.0), 1.0), value
+    mu, value = _scan_mu(fn, 21, tol)
+    if math.isfinite(value):
+        return mu, value
     if numeric_failures:  # roundoff, not the scheme, may have hidden a usable fraction
         raise NumericFailure(
             f"no squeezing fraction gave a usable error "
@@ -603,39 +588,30 @@ def scheme_sensitivity(
         A :class:`SchemePoint`; ``phi_star`` is ``nan`` for the QFI scheme,
         whose bound is phase-independent.
     """
-    if scheme is Scheme.QFI:
-        mu_value, fisher = math.nan, None
-        if resource_kind is ResourceKind.CSV:
-            if mu == "optimize":
-                mu_value, fisher = optimal_csv_ratio(nbar, loss)
-            else:
-                mu_value = float(mu)
+
+    def at(mu_value, fisher=None):
         resource = ResourceSpec.from_energy(resource_kind, nbar, mu_value)
-        if fisher is None:
-            fisher = _fisher_information(resource, loss)
-        return SchemePoint(scheme, resource, 1.0 / fisher, math.nan, mu_value)
+        if scheme is Scheme.QFI:
+            if fisher is None:
+                fisher = _fisher_information(resource, loss)
+            return SchemePoint(scheme, resource, 1.0 / fisher, math.nan, mu_value)
+        phi_star, value = _measurement_optimum(scheme, resource, loss)
+        return SchemePoint(scheme, resource, value, phi_star, mu_value)
 
-    if resource_kind is ResourceKind.CSV:
-        angles_box = {}
+    if resource_kind is not ResourceKind.CSV:
+        return at(math.nan)
+    if mu != "optimize":
+        return at(float(mu))
+    if scheme is Scheme.QFI:
+        return at(*optimal_csv_ratio(nbar, loss))
+    points = {}
 
-        def value_at(mu_value):
-            resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, mu_value)
-            phi, value, angles = _measurement_optimum(scheme, resource, loss)
-            angles_box[mu_value] = (phi, angles)
-            return value
+    def value_at(mu_value):
+        points[mu_value] = at(mu_value)
+        return points[mu_value].delta2phi
 
-        if mu == "optimize":
-            mu_value, value = _minimize_over_mu(value_at, tol=mu_tol, seed=mu_seed, stop_below=mu_stop_below)
-        else:
-            mu_value = float(mu)
-            value = value_at(mu_value)
-        phi_star, angles = angles_box[mu_value]
-        resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, mu_value)
-        return SchemePoint(scheme, resource, value, phi_star, mu_value, angles)
-
-    resource = ResourceSpec.from_energy(resource_kind, nbar)
-    phi_star, value, angles = _measurement_optimum(scheme, resource, loss)
-    return SchemePoint(scheme, resource, value, phi_star, math.nan, angles)
+    mu_value, _ = _minimize_over_mu(value_at, tol=mu_tol, seed=mu_seed, stop_below=mu_stop_below)
+    return points[mu_value]
 
 
 def _chain(scheme, kind, optimize_mu=True, mu_tol=1e-5):
@@ -863,16 +839,19 @@ def run_sweep(spec: SweepSpec, threads: int = 1):
     failures (degenerate observables, unsupported combinations) are recorded
     in the row's ``status`` instead of aborting the sweep.  When ``threads``
     exceeds one, fixed-size chunks of the grid are evaluated in worker
-    processes; chunk boundaries do not depend on the worker count, so the
-    output is identical however the work is distributed.
+    processes, at most one per chunk and per CPU this process may use;
+    chunk boundaries do not depend on the worker count, so the output is
+    identical however the work is distributed.
     """
     grid = spec.grid()
     chunks = [grid[i : i + _SWEEP_CHUNK] for i in range(0, len(grid), _SWEEP_CHUNK)]
-    if threads <= 1 or len(chunks) <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, len(chunks), cpus)
+    if workers <= 1:
         parts = [_sweep_chunk(spec, chunk) for chunk in chunks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_chunk, [spec] * len(chunks), chunks))
     return [row for part in parts for row in part]

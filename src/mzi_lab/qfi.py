@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure, UnsupportedConfiguration
-from .interferometer import LossModel, _post_loss_cov_mean
+from .interferometer import LossModel, _J, _post_loss_cov_mean
 from .states import OMEGA, GaussianState, ResourceKind, ResourceSpec
 
 __all__ = ["QfiResult", "bures_fidelity", "qfi_numeric", "qfi_closed", "snl", "snl_tie_bound"]
@@ -22,8 +22,6 @@ __all__ = ["QfiResult", "bures_fidelity", "qfi_numeric", "qfi_closed", "snl", "s
 # the numerically stable fidelity branch.
 _PURITY_TOL = 1e-9
 
-# The phase shifter's generator: the phase derivative of its rotation of mode a.
-_GENERATOR = np.diag([1.0, 0.0, 0.0], 1) - np.diag([1.0, 0.0, 0.0], -1)
 _OMEGA_OMEGA = np.kron(OMEGA, OMEGA)
 
 #: Largest residual ``|(s⊗s - Ω⊗Ω)x - vec ds| / |s|`` that :func:`qfi_numeric` accepts;
@@ -112,8 +110,8 @@ def qfi_numeric(resource: ResourceSpec, phi: float, loss: LossModel) -> QfiResul
     """
     cov, mean = _post_loss_cov_mean(resource, loss)
     sigma = 2.0 * cov
-    dsigma = (_GENERATOR @ sigma + sigma @ _GENERATOR.T).reshape(-1)
-    dmean = _GENERATOR @ mean
+    dsigma = (_J @ sigma + sigma @ _J.T).reshape(-1)
+    dmean = _J @ mean
     with np.errstate(all="ignore"):
         system = np.multiply.outer(sigma, sigma).transpose(0, 2, 1, 3).reshape(16, 16) - _OMEGA_OMEGA
         try:

@@ -71,8 +71,8 @@ def _frozen(a):
 
 
 @dataclass(frozen=True)
-class GaussianState:
-    """A two-mode Gaussian state: 4x4 covariance matrix plus first moments.
+class _Moments:
+    """Covariance matrix plus first moments of ``_DIM`` quadratures, a constant of each subclass.
 
     ``cov`` is symmetrized on construction (stray asymmetry beyond 1e-12
     is rejected); both arrays are stored read-only.
@@ -82,11 +82,12 @@ class GaussianState:
     mean: np.ndarray
 
     def __post_init__(self):
+        n = self._DIM
         cov = np.asarray(self.cov, dtype=float)
         mean = np.asarray(self.mean, dtype=float)
-        if cov.shape != (4, 4) or mean.shape != (4,):
+        if cov.shape != (n, n) or mean.shape != (n,):
             raise InvalidArgument(
-                f"expected a 4x4 covariance and length-4 mean, got {cov.shape} and {mean.shape}"
+                f"expected a {n}x{n} covariance and length-{n} mean, got {cov.shape} and {mean.shape}"
             )
         if not np.all(np.abs(cov - cov.T) <= _SYMMETRY_TOL * max(1.0, np.abs(cov).max())):
             raise InvalidArgument("covariance matrix is not symmetric")
@@ -95,21 +96,17 @@ class GaussianState:
 
 
 @dataclass(frozen=True)
-class SingleModeState:
+class GaussianState(_Moments):
+    """A two-mode Gaussian state: 4x4 covariance matrix plus first moments."""
+
+    _DIM = 4
+
+
+@dataclass(frozen=True)
+class SingleModeState(_Moments):
     """A single-mode Gaussian state: 2x2 covariance block plus first moments."""
 
-    cov: np.ndarray
-    mean: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
-        mean = np.asarray(self.mean, dtype=float)
-        if cov.shape != (2, 2) or mean.shape != (2,):
-            raise InvalidArgument(
-                f"expected a 2x2 covariance and length-2 mean, got {cov.shape} and {mean.shape}"
-            )
-        object.__setattr__(self, "cov", _frozen((cov + cov.T) / 2.0))
-        object.__setattr__(self, "mean", _frozen(mean))
+    _DIM = 2
 
 
 class ResourceKind(Enum):

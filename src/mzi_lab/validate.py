@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 
 from . import fock
-from .interferometer import InterferometerConfig, LossModel, output_mode_a, output_state
+from .interferometer import InterferometerConfig, LossModel, output_state
 from .measurements import parity_expectation
 from .qfi import bures_fidelity, qfi_numeric
-from .states import ResourceKind, ResourceSpec, symmetric_moment
+from .states import Mode, ResourceKind, ResourceSpec, reduce_to_mode, symmetric_moment
 
 _TOL = 1e-6
 _PHI = 0.7
@@ -49,7 +49,7 @@ def run_cross_checks(cutoff=40, stream=None):
             rows.append(
                 (
                     f"parity  {label}",
-                    parity_expectation(output_mode_a(InterferometerConfig(resource, _PHI, loss))),
+                    parity_expectation(reduce_to_mode(gauss, Mode.A)),
                     fock.oracle_expectation(oracle_state, "parity_a"),
                 )
             )

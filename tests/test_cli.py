@@ -425,6 +425,28 @@ class TestNonFiniteAndHugeEnergy:
 
 
 class TestParsing:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["point", "--scheme", "qfi", "--resource", "tmsv", "--rate", "-1e-3"],
+             "loss rate must lie in [0, 1], got -0.001"),
+            (["point", "--scheme", "qfi", "--resource", "tmsv", "--nbar", "-inf"],
+             "nbar must be finite and > 0, got -inf"),
+            (["point", "--scheme", "single-hd", "--resource", "csv", "--mu", "-1E-3"],
+             "CSV needs a squeezing fraction mu in [0, 1], got -0.001"),
+            (["threshold", "--scheme", "qfi", "--resource", "tmsv", "--tol", "-1e-3"],
+             "tol must be a finite number > 0, got -0.001"),
+            (["sweep", "--variable", "nbar", "--lo", "-inf", "--hi", "1"], "sweep bounds must be finite, got [-inf, 1.0]"),
+            (["sweep", "--variable", "nbar", "--hi", "-1e-3"], "need lo < hi, got [0.0, -0.001]"),
+        ],
+    )
+    def test_negative_float_is_a_value_for_the_library_to_check(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["point", "--scheme", "sorcery"])

@@ -1,5 +1,7 @@
+import concurrent.futures
 import importlib
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -504,6 +506,41 @@ class TestRunSweep:
         # across process boundaries, so compare the printed forms.
         assert [repr(r) for r in serial] == [repr(r) for r in again]
         assert [repr(r) for r in serial] == [repr(r) for r in parallel]
+
+    def test_workers_are_capped_by_the_usable_cpus(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:  # records the worker count and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = SweepSpec(
+            variable=SweepVariable.LOSS_RATE,
+            lo=0.0,
+            hi=0.6,
+            points=200,  # 13 chunks
+            schemes=(Scheme.QFI,),
+            resources=(ResourceKind.TMSV,),
+            loss_kind=LossKind.SYMMETRIC,
+        )
+        rows = run_sweep(spec, threads=1000)
+        assert asked == [2]
+        assert [repr(r) for r in rows] == [repr(r) for r in run_sweep(spec, threads=1)]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # then os.cpu_count() decides
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_sweep(spec, threads=1000)
+        assert asked == [2, 3]
 
     def test_warm_starts_stay_inside_chunks(self):
         # 17 points make two chunks; the single-HD CSV rows carry a
