@@ -66,9 +66,12 @@ def emit(rows, fields, fmt, out):
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 # -- figure presets -------------------------------------------------------------
@@ -206,7 +209,7 @@ def _cmd_threshold(args):
 def _cmd_validate(args):
     from . import validate
 
-    failures = validate.run_cross_checks(cutoff=args.cutoff, stream=sys.stdout)
+    failures = validate.run_cross_checks(args.cutoff)
     return 1 if failures else 0
 
 

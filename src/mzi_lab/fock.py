@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CutoffTooSmall, InvalidArgument
 from .interferometer import LossModel
-from .states import ResourceKind, ResourceSpec
+from .states import ResourceKind, ResourceSpec, _check_transmissivities
 
 __all__ = [
     "fock_output_state",
@@ -190,9 +190,7 @@ def apply_loss_fock(state: FockState, eta_a: float, eta_b: float) -> FockState:
     column is the old one shifted down by ``(k, l)`` photons and weighted:
     ``out[i, m] = amp_a[k, i] amp_b[l, m] v[i + k, m + l]``.
     """
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 <= eta <= 1.0:
-            raise InvalidArgument(f"{name} must lie in [0, 1], got {eta}")
+    _check_transmissivities(eta_a, eta_b)
     n = state.cutoff
     v = state.factor
     padded = np.zeros((2 * n, 2 * n, v.shape[1]), dtype=v.dtype)

@@ -13,12 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgument
 from .states import (
     GaussianState,
     Mode,
     ResourceSpec,
     SingleModeState,
+    _check_transmissivities,
     apply_loss,
     apply_symplectic,
     beam_splitter,
@@ -37,9 +37,7 @@ class LossModel:
     eta_b: float = 1.0
 
     def __post_init__(self):
-        for name, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
-            if not 0.0 <= eta <= 1.0:
-                raise InvalidArgument(f"{name} must lie in [0, 1], got {eta}")
+        _check_transmissivities(self.eta_a, self.eta_b)
 
     @classmethod
     def lossless(cls):

@@ -257,7 +257,7 @@ def sensitivity_profile(resource, loss, phis, obs: Observable):
     _, variance, slope = _evaluate(resource, loss, phis, obs)
     if obs.kind is ObservableKind.PARITY_A:
         # A stencil slope cannot overflow when squared; entering np.errstate
-        # would cost each parity probe of the φ search about 5 %.
+        # would cost each parity probe of the φ search about 1–2 % (2 µs of 100).
         return _errors(variance, slope)
     with np.errstate(over="ignore", invalid="ignore"):
         return _errors(variance, slope)

@@ -71,17 +71,18 @@ class LossKind(Enum):
         return LossModel.one_arm(eta)
 
 
-def golden_section(fn, lo, hi, tol=1e-8):
+def golden_section(fn, lo, hi, tol):
     """Golden-section minimization of ``fn`` on ``[lo, hi]``.
 
     Returns ``(x, fn(x))`` for the better of the two interior probes once
-    the bracket is narrower than ``tol``.
+    the bracket is narrower than ``tol``, or once the probes no longer lie
+    strictly inside it (its ends are then floats a few ulps apart).
     """
     a, b = float(lo), float(hi)
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = fn(c), fn(d)
-    while abs(b - a) > tol:
+    while b - a > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
@@ -146,7 +147,7 @@ def _parabola_polish(fn, x0, f0):
     return best_x, best_f
 
 
-def _refine_minimum(fn, lo, hi, tol=1e-8):
+def _refine_minimum(fn, lo, hi, tol):
     # The polish sets the final accuracy; golden section only needs to land inside the basin's
     # quadratic region.  An error that is not finite and > 0 there comes from roundoff.
     x, f = _parabola_polish(fn, *golden_section(fn, lo, hi, tol))
@@ -424,11 +425,11 @@ def _min_double_hd(resource, loss):
     """
     coefficients = phase_coefficients(resource, loss)
     _, phi0, theta_a, theta_b = _double_hd_grid(coefficients)
-    state = {"ta": theta_a, "tb": theta_b}
 
     def fn(phi):
+        nonlocal theta_a, theta_b
         cov, dmean = _cov_and_dmean(coefficients, phi)
-        state["ta"], state["tb"], value = _refine_sum_quad_angles(cov, dmean, state["ta"], state["tb"])
+        theta_a, theta_b, value = _refine_sum_quad_angles(cov, dmean, theta_a, theta_b)
         return value
 
     spacing = _TWO_PI / 180
@@ -482,7 +483,7 @@ def _scan_mu(fn, points, tol):
     return min(max(mu, 0.0), 1.0), value
 
 
-def optimal_csv_ratio(nbar, loss: LossModel, tol=1e-6):
+def optimal_csv_ratio(nbar, loss: LossModel):
     """Squeezed-vacuum energy fraction maximizing the CSV Fisher information.
 
     Returns:
@@ -495,7 +496,7 @@ def optimal_csv_ratio(nbar, loss: LossModel, tol=1e-6):
         resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, min(max(mu, 0.0), 1.0))
         return -_fisher_information(resource, loss)
 
-    mu_star, neg = _scan_mu(negative_qfi, 33, tol)
+    mu_star, neg = _scan_mu(negative_qfi, 33, 1e-6)
     return mu_star, -neg
 
 
@@ -541,20 +542,16 @@ def _minimize_over_mu(value_fn, tol=1e-5, seed=None, stop_below=None):
         return value
 
     try:
-        return _mu_search(fn, tol, seed, numeric_failures)
+        if seed is not None:
+            lo, hi = max(seed - 0.08, 0.0), min(seed + 0.08, 1.0)
+            mu, value = golden_section(fn, lo, hi, tol)
+            stuck_low = mu - lo < 5e-3 and lo > 0.0
+            stuck_high = hi - mu < 5e-3 and hi < 1.0
+            if math.isfinite(value) and not (stuck_low or stuck_high):
+                return min(max(mu, 0.0), 1.0), value
+        mu, value = _scan_mu(fn, 21, tol)
     except _BelowTarget as hit:
         return hit.args
-
-
-def _mu_search(fn, tol, seed, numeric_failures):
-    if seed is not None:
-        lo, hi = max(seed - 0.08, 0.0), min(seed + 0.08, 1.0)
-        mu, value = golden_section(fn, lo, hi, tol)
-        stuck_low = mu - lo < 5e-3 and lo > 0.0
-        stuck_high = hi - mu < 5e-3 and hi < 1.0
-        if math.isfinite(value) and not (stuck_low or stuck_high):
-            return min(max(mu, 0.0), 1.0), value
-    mu, value = _scan_mu(fn, 21, tol)
     if math.isfinite(value):
         return mu, value
     if numeric_failures:  # roundoff, not the scheme, may have hidden a usable fraction
@@ -712,7 +709,7 @@ def snl_threshold(
     iterations = 0
     while hi < 1.0:
         iterations += 1
-        if gap(min(hi, 1.0 - 1e-9)) >= 0.0:
+        if gap(hi) >= 0.0:
             break
         lo, hi = hi, hi + _SCAN_STEP
     else:
@@ -767,9 +764,6 @@ class SweepSpec:
             raise InvalidArgument(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.points < 2:
             raise InvalidArgument(f"need at least 2 grid points, got {self.points}")
-
-    def grid(self):
-        return np.linspace(self.lo, self.hi, self.points)
 
 
 @dataclass(frozen=True)
@@ -843,7 +837,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1):
     chunk boundaries do not depend on the worker count, so the output is
     identical however the work is distributed.
     """
-    grid = spec.grid()
+    grid = np.linspace(spec.lo, spec.hi, spec.points)
     chunks = [grid[i : i + _SWEEP_CHUNK] for i in range(0, len(grid), _SWEEP_CHUNK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, len(chunks), cpus)

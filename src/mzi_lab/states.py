@@ -59,6 +59,12 @@ _SYMMETRY_TOL = 1e-12
 _SYMPLECTIC_TOL = 1e-12
 
 
+def _check_transmissivities(eta_a, eta_b):
+    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
+        if not 0.0 <= eta <= 1.0:
+            raise InvalidArgument(f"{name} must lie in [0, 1], got {eta}")
+
+
 class Mode(Enum):
     A = 0
     B = 1
@@ -228,9 +234,9 @@ def beam_splitter(theta: float) -> np.ndarray:
     )
 
 
-def is_symplectic(M, tol=_SYMPLECTIC_TOL):
+def is_symplectic(M):
     M = np.asarray(M, dtype=float)
-    return M.shape == (4, 4) and np.abs(M @ OMEGA @ M.T - OMEGA).max() <= tol
+    return M.shape == (4, 4) and np.abs(M @ OMEGA @ M.T - OMEGA).max() <= _SYMPLECTIC_TOL
 
 
 def apply_symplectic(state: GaussianState, M: np.ndarray) -> GaussianState:
@@ -242,8 +248,7 @@ def apply_symplectic(state: GaussianState, M: np.ndarray) -> GaussianState:
     M = np.asarray(M, dtype=float)
     if not is_symplectic(M):
         raise InvalidArgument("matrix does not satisfy M Omega M^T = Omega")
-    cov = M @ state.cov @ M.T
-    return GaussianState((cov + cov.T) / 2.0, M @ state.mean)
+    return GaussianState(M @ state.cov @ M.T, M @ state.mean)
 
 
 def apply_loss(state: GaussianState, eta_a: float, eta_b: float) -> GaussianState:
@@ -254,13 +259,10 @@ def apply_loss(state: GaussianState, eta_a: float, eta_b: float) -> GaussianStat
     ``D1 = diag(√eta_a, √eta_a, √eta_b, √eta_b)`` and
     ``D2 = diag(1-eta_a, 1-eta_a, 1-eta_b, 1-eta_b)``.
     """
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 <= eta <= 1.0:
-            raise InvalidArgument(f"{name} must lie in [0, 1], got {eta}")
+    _check_transmissivities(eta_a, eta_b)
     d1 = np.repeat([math.sqrt(eta_a), math.sqrt(eta_b)], 2)
     d2 = np.repeat([1.0 - eta_a, 1.0 - eta_b], 2)
-    cov = state.cov * np.outer(d1, d1) + np.diag(d2) / 2.0
-    return GaussianState((cov + cov.T) / 2.0, d1 * state.mean)
+    return GaussianState(state.cov * np.outer(d1, d1) + np.diag(d2) / 2.0, d1 * state.mean)
 
 
 def reduce_to_mode(state: GaussianState, mode: Mode) -> SingleModeState:

@@ -1,23 +1,29 @@
 """Golden CLI table: stdout, stderr and exit code of a fixed list of ``mzi-lab`` invocations.
 
-Each invocation's record is ``tests/golden/<name>.txt``.  ``tests/test_golden_cli.py``
-reruns every invocation in-process and compares bytes.  A change that moves an
-emitted number regenerates the files and shows the move as a diff::
+Each invocation's record is ``tests/golden/<name>.txt``.  Beside them,
+``tests/golden/figures/<label>.csv`` holds the CSV of ``mzi-lab sweep --figure
+<label>`` for each of the 24 figure presets, and ``tests/golden/thresholds.csv``
+the 12-entry ``threshold`` table at n̄ = 10.  ``tests/test_golden_cli.py``
+reruns every invocation and compares bytes.  A change that moves an emitted
+number regenerates the files and shows the move as a diff::
 
     PYTHONPATH=src python tests/golden_cli.py
 
 ``COLUMNS`` is pinned, so argparse wraps ``--help`` the same on every terminal,
-and ``MZI_LAB_THREADS`` is unset, so sweeps run in this process.  The 24
-figure presets are not in the table.
+and ``MZI_LAB_THREADS`` is unset, so each sweep runs in one process.  The
+presets and the threshold table, about 20 s of CPU time, are spread over two
+worker processes; their output does not depend on which worker runs them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import multiprocessing
 import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -82,6 +88,14 @@ INVOCATIONS = [
     ("threshold", "--help"),
 ]
 
+#: The threshold table of acceptance criterion 3: every (scheme, loss kind, resource) cell at n̄ = 10.
+THRESHOLDS = [
+    ("threshold", "--scheme", scheme, "--resource", resource, "--loss", loss)
+    for scheme in ("qfi", "single-hd", "double-hd")
+    for loss in ("symmetric", "one-arm")
+    for resource in ("tmsv", "csv")
+]
+
 
 def name(argv):
     """File stem of an invocation: its arguments joined by ``_``, each option without its ``--``."""
@@ -101,17 +115,55 @@ def record(argv):
     return f"$ mzi-lab {' '.join(argv)}\nexit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
+def _stdout(argv):
+    """Stdout of an in-process invocation that must succeed."""
+    from mzi_lab.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"mzi-lab {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def _threshold_table():
+    outputs = [_stdout(argv).splitlines(keepends=True) for argv in THRESHOLDS]
+    return "".join(outputs[0][:1] + [row for lines in outputs for row in lines[1:]])  # one header
+
+
+def tables():
+    """The presets and the threshold table, as ``{path relative to GOLDEN: text}``."""
+    from mzi_lab.cli import figure_presets
+
+    labels = sorted(figure_presets())
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        thresholds = pool.submit(_threshold_table)
+        figures = pool.map(_stdout, [("sweep", "--figure", label) for label in labels])
+        texts = {f"figures/{label}.csv": text for label, text in zip(labels, figures)}
+        texts["thresholds.csv"] = thresholds.result()
+    return texts
+
+
+def table_paths():
+    return sorted([*GOLDEN.glob("figures/*.csv"), GOLDEN / "thresholds.csv"])
+
+
 def main():
     os.environ["COLUMNS"] = COLUMNS
     os.environ.pop("MZI_LAB_THREADS", None)
-    GOLDEN.mkdir(exist_ok=True)
-    stale = set(GOLDEN.glob("*.txt"))
+    (GOLDEN / "figures").mkdir(parents=True, exist_ok=True)
+    stale = set(GOLDEN.glob("*.txt")) | set(table_paths())
     for argv in INVOCATIONS:
         path = GOLDEN / f"{name(argv)}.txt"
         path.write_text(record(argv), encoding="utf-8", newline="\n")
         stale.discard(path)
+    for relative, text in tables().items():
+        path = GOLDEN / relative
+        path.write_text(text, encoding="utf-8", newline="\n")
+        stale.discard(path)
     for path in stale:
-        path.unlink()
+        path.unlink(missing_ok=True)
     return 0
 
 

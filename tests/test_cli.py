@@ -62,6 +62,14 @@ class TestPoint:
         assert row["delta2phi"] == row["snl"] == "5.00000000000e-02"
         assert row["beats_snl"] == "false"
 
+    @pytest.mark.parametrize("target", ["missing/row.csv", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
+        code = main(["point", "--scheme", "qfi", "--resource", "tmsv", "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out ") and captured.err.count("\n") == 1
+
     def test_jsonl_matches_csv_values(self, capsys):
         args = [
             "point", "--scheme", "qfi", "--resource", "csv",
@@ -290,6 +298,17 @@ class TestValidate:
         code, out = run_cli(capsys, "validate")
         assert code == 0
         assert out.splitlines()[-1] == "46/46 checks passed (tolerance 1e-06, cutoff 40)"
+
+    def test_a_missed_tolerance_fails_its_row_and_exits_1(self, capsys, monkeypatch):
+        from mzi_lab import fock
+
+        oracle_qfi = fock.oracle_qfi
+        monkeypatch.setattr(fock, "oracle_qfi", lambda *args: oracle_qfi(*args) + 1e-3)
+        code, out = run_cli(capsys, "validate")
+        assert code == 1
+        failed = [line.split()[:3] for line in out.splitlines() if line.endswith("  FAIL")]
+        assert failed == [["qfi", "tmsv", "lossless"], ["qfi", "tmsv", "eta=0.8"]]
+        assert out.splitlines()[-1] == "44/46 checks passed (tolerance 1e-06, cutoff 40)"
 
     @pytest.mark.parametrize("cutoff, expected", [("0", 2), ("-3", 2), ("1", 1), ("2", 1)])
     def test_small_cutoff_ends_with_an_exit_code(self, capsys, cutoff, expected):

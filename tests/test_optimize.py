@@ -45,6 +45,36 @@ class TestGoldenSection:
         x, _ = golden_section(math.cos, 2.0, 4.5, tol=1e-9)
         assert x == pytest.approx(math.pi, abs=1e-7)
 
+    def test_zero_tolerance_stops_at_float_resolution(self):
+        calls = 0
+
+        def fn(x):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise RuntimeError("golden section did not stop")
+            return (x - 0.3) ** 2
+
+        x, _ = golden_section(fn, 0.0, 1.0, tol=0.0)
+        assert x == pytest.approx(0.3, abs=1e-15)
+        assert calls < 100
+
+    def test_zero_mu_tolerance_ends(self, monkeypatch):
+        calls = 0
+        measurement_optimum = optimize._measurement_optimum
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise RuntimeError("the squeezing-fraction search did not stop")
+            return measurement_optimum(*args)
+
+        monkeypatch.setattr(optimize, "_measurement_optimum", counted)
+        point = scheme_sensitivity(Scheme.SINGLE_HD, ResourceKind.CSV, 5.0, LossModel.symmetric(0.8), mu_tol=0.0)
+        assert 0.0 < point.mu < 1.0
+        assert calls < 200
+
 
 #: n̄ of the pinned minima below.
 PINNED_NBARS = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e8, 1e10, 1e16)
@@ -196,6 +226,10 @@ class TestSchemeSensitivity:
         fixed = scheme_sensitivity(Scheme.QFI, ResourceKind.CSV, 5.0, loss, mu=optimized.mu)
         assert fixed.mu == optimized.mu
         assert fixed.delta2phi == pytest.approx(optimized.delta2phi, rel=1e-12)
+
+    def test_parity_blind_at_every_phase_is_no_optimum(self):
+        with pytest.raises(NoOptimum, match="^observable is blind at every phase on the grid$"):
+            scheme_sensitivity(Scheme.PARITY, ResourceKind.TMSV, 0.0, LossModel.lossless())
 
     def test_qfi_zero_energy_is_a_numeric_failure(self):
         with pytest.raises(NumericFailure):

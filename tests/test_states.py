@@ -9,6 +9,7 @@ from mzi_lab import (
     OMEGA,
     GaussianState,
     InvalidArgument,
+    LossModel,
     Mode,
     ResourceKind,
     ResourceSpec,
@@ -19,6 +20,7 @@ from mzi_lab import (
     reduce_to_mode,
     symmetric_moment,
 )
+from mzi_lab import fock
 from conftest import is_physical, photon_number, random_physical_state, rotation_pair, vacuum
 
 
@@ -147,6 +149,20 @@ class TestApplyLoss:
     def test_out_of_range_transmissivity(self):
         with pytest.raises(InvalidArgument):
             apply_loss(vacuum(), 1.2, 1.0)
+
+    @pytest.mark.parametrize("name, etas", [("eta_a", (1.5, 1.0)), ("eta_b", (1.0, 1.5))])
+    @pytest.mark.parametrize(
+        "lossy",
+        [
+            LossModel,
+            lambda a, b: apply_loss(vacuum(), a, b),
+            lambda a, b: fock.apply_loss_fock(fock.build_fock_input(ResourceSpec.coherent(0.0), 2), a, b),
+        ],
+        ids=["LossModel", "apply_loss", "apply_loss_fock"],
+    )
+    def test_every_loss_rejects_a_transmissivity_above_one(self, lossy, name, etas):
+        with pytest.raises(InvalidArgument, match=rf"^{name} must lie in \[0, 1\], got 1\.5$"):
+            lossy(*etas)
 
     def test_commutes_with_phase_shifter(self, rng):
         state = random_physical_state(rng)
