@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -71,68 +72,65 @@ def emit(rows, fields, fmt, out):
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        raise InvalidArgument(f"cannot write --out {out}: {exc.strerror}") from None
+        raise _unwritable(out, exc.strerror) from None
+
+
+def _unwritable(out, reason):
+    return InvalidArgument(f"cannot write --out {out}: {reason}")
+
+
+def _check_out(out):
+    """Refuse a directory or a missing parent directory as ``--out`` before any computation,
+    without opening the file: an existing file stays as it is if the computation fails."""
+    if os.path.isdir(out):
+        raise _unwritable(out, os.strerror(errno.EISDIR))
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise _unwritable(out, os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT))
 
 
 # -- figure presets -------------------------------------------------------------
 #
-# Parameter grids behind the --figure shortcuts.  Loss-rate panels run over
-# 1 - eta in [0, 0.6] with 21 points; energy panels over nbar in [1, 50]
-# with 15 points at loss rate 0.2 (see README for the mapping).
+# Parameter grids behind the --figure shortcuts, by swept variable: loss-rate
+# panels run over 1 - eta in [0, 0.6] with 21 points, energy panels over nbar
+# in [1, 50] with 15 points at loss rate 0.2 (see README for the mapping).
 
 _ALL3 = (ResourceKind.CSV, ResourceKind.TMSV, ResourceKind.COHERENT)
 _ALL4_SCHEMES = (Scheme.QFI, Scheme.PARITY, Scheme.SINGLE_HD, Scheme.DOUBLE_HD)
-_LOSS_GRID = dict(lo=0.0, hi=0.6, points=21)
-_NBAR_GRID = dict(lo=1.0, hi=50.0, points=15)
+_LOSS, _NBAR = SweepVariable.LOSS_RATE, SweepVariable.MEAN_PHOTON_NUMBER
+_GRIDS = {_LOSS: dict(lo=0.0, hi=0.6, points=21), _NBAR: dict(lo=1.0, hi=50.0, points=15, loss_rate=0.2)}
 
 
-def _loss_sweep(scheme, kind, nbar=10.0, resources=_ALL3):
+def _preset(variable, scheme, kind, nbar=10.0, resources=_ALL3):
     return SweepSpec(
-        variable=SweepVariable.LOSS_RATE,
+        variable=variable,
         schemes=(scheme,) if isinstance(scheme, Scheme) else tuple(scheme),
         resources=resources,
         loss_kind=kind,
         nbar=nbar,
-        **_LOSS_GRID,
-    )
-
-
-def _nbar_sweep(scheme, kind, resources=_ALL3):
-    return SweepSpec(
-        variable=SweepVariable.MEAN_PHOTON_NUMBER,
-        schemes=(scheme,) if isinstance(scheme, Scheme) else tuple(scheme),
-        resources=resources,
-        loss_kind=kind,
-        loss_rate=0.2,
-        **_NBAR_GRID,
+        **_GRIDS[variable],
     )
 
 
 def figure_presets():
     sym, one = LossKind.SYMMETRIC, LossKind.ONE_ARM
+    csv, tmsv, coherent = ((kind,) for kind in _ALL3)
     presets = {
-        "2a": [_loss_sweep(Scheme.QFI, sym)],
-        "2b": [_nbar_sweep(Scheme.QFI, sym)],
-        "2c": [_loss_sweep(Scheme.QFI, sym, nbar=n, resources=(ResourceKind.CSV,)) for n in (1.0, 10.0, 100.0)],
-        "2d": [_loss_sweep(Scheme.QFI, one)],
-        "2e": [_nbar_sweep(Scheme.QFI, one)],
-        "2f": [_loss_sweep(Scheme.QFI, one, nbar=n, resources=(ResourceKind.CSV,)) for n in (1.0, 10.0, 100.0)],
-        "6a": [_loss_sweep(_ALL4_SCHEMES, sym, resources=(ResourceKind.CSV,)),
-               _loss_sweep(Scheme.QFI, sym, resources=(ResourceKind.COHERENT,))],
-        "6b": [_loss_sweep(_ALL4_SCHEMES, one, resources=(ResourceKind.CSV,)),
-               _loss_sweep(Scheme.QFI, one, resources=(ResourceKind.COHERENT,))],
-        "6c": [_loss_sweep(_ALL4_SCHEMES, sym, resources=(ResourceKind.TMSV,)),
-               _loss_sweep(Scheme.QFI, sym, resources=(ResourceKind.COHERENT,))],
-        "6d": [_loss_sweep(_ALL4_SCHEMES, one, resources=(ResourceKind.TMSV,)),
-               _loss_sweep(Scheme.QFI, one, resources=(ResourceKind.COHERENT,))],
-        "a1": [_loss_sweep(_ALL4_SCHEMES, sym, nbar=7.0)],
-        "a2": [_loss_sweep(_ALL4_SCHEMES, one, nbar=7.0)],
+        "2a": [_preset(_LOSS, Scheme.QFI, sym)],
+        "2b": [_preset(_NBAR, Scheme.QFI, sym)],
+        "2c": [_preset(_LOSS, Scheme.QFI, sym, nbar=n, resources=csv) for n in (1.0, 10.0, 100.0)],
+        "2d": [_preset(_LOSS, Scheme.QFI, one)],
+        "2e": [_preset(_NBAR, Scheme.QFI, one)],
+        "2f": [_preset(_LOSS, Scheme.QFI, one, nbar=n, resources=csv) for n in (1.0, 10.0, 100.0)],
+        "a1": [_preset(_LOSS, _ALL4_SCHEMES, sym, nbar=7.0)],
+        "a2": [_preset(_LOSS, _ALL4_SCHEMES, one, nbar=7.0)],
     }
+    for label, kind, resources in (("6a", sym, csv), ("6b", one, csv), ("6c", sym, tmsv), ("6d", one, tmsv)):
+        presets[label] = [_preset(_LOSS, _ALL4_SCHEMES, kind, resources=resources),
+                          _preset(_LOSS, Scheme.QFI, kind, resources=coherent)]
     for label, scheme in (("3", Scheme.PARITY), ("4", Scheme.SINGLE_HD), ("5", Scheme.DOUBLE_HD)):
-        presets[label + "a"] = [_loss_sweep(scheme, sym)]
-        presets[label + "b"] = [_nbar_sweep(scheme, sym)]
-        presets[label + "c"] = [_loss_sweep(scheme, one)]
-        presets[label + "d"] = [_nbar_sweep(scheme, one)]
+        for panel, variable, kind in (("a", _LOSS, sym), ("b", _NBAR, sym), ("c", _LOSS, one), ("d", _NBAR, one)):
+            presets[label + panel] = [_preset(variable, scheme, kind)]
     return presets
 
 
@@ -293,13 +291,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.fn(args)
-    except (InvalidArgument, UnsupportedConfiguration) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MziLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (InvalidArgument, UnsupportedConfiguration)) else 1
 
 
 if __name__ == "__main__":

@@ -67,25 +67,18 @@ class FockState:
 
 
 def coherent_ket(alpha, cutoff):
-    if alpha == 0.0:
-        amp = np.zeros(cutoff)
-        amp[0] = 1.0
-        return amp
-    n = np.arange(cutoff)
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff))]))
-    return np.exp(n * math.log(alpha) - 0.5 * log_fact - alpha**2 / 2.0)
+    """Coherent state by its recurrence ``c_0 = e^{-alpha²/2}``, ``c_n = c_{n-1} alpha / √n``."""
+    ratios = alpha / np.sqrt(np.arange(1.0, cutoff))
+    return np.cumprod(np.concatenate([[math.exp(-alpha**2 / 2.0)], ratios]))
 
 
 def squeezed_vacuum_ket(r, cutoff):
-    """Squeezed vacuum in the anti-squeezed-X convention (even-photon series)."""
+    """Squeezed vacuum (anti-squeezed X) by its recurrence on ``|2m>``: ``c_0 = 1/√cosh r``,
+    ``c_m = c_{m-1} tanh(r) √((2m-1)(2m)) / (2m)``; at ``r = 0`` exactly the vacuum."""
+    m = np.arange(1.0, (cutoff + 1) // 2)
+    ratios = math.tanh(r) * np.sqrt((2.0 * m - 1.0) * (2.0 * m)) / (2.0 * m)
     amp = np.zeros(cutoff)
-    amp[0] = 1.0 / math.sqrt(math.cosh(r))
-    t = math.tanh(r)
-    m = 1
-    while 2 * m < cutoff:
-        # c_{m} / c_{m-1} = tanh(r) * sqrt((2m-1)(2m)) / (2m)
-        amp[2 * m] = amp[2 * (m - 1)] * t * math.sqrt((2 * m - 1) * (2 * m)) / (2 * m)
-        m += 1
+    amp[::2] = np.cumprod(np.concatenate([[1.0 / math.sqrt(math.cosh(r))], ratios]))
     return amp
 
 
@@ -109,14 +102,8 @@ def _check_leakage(norm_sq):
 def _input_ket(spec: ResourceSpec, cutoff):
     if spec.kind is ResourceKind.TMSV:
         ket = tmsv_ket(spec.s, cutoff)
-    else:
-        ket_a = coherent_ket(spec.alpha, cutoff)
-        if spec.kind is ResourceKind.CSV:
-            ket_b = squeezed_vacuum_ket(spec.r, cutoff)
-        else:
-            ket_b = np.zeros(cutoff)
-            ket_b[0] = 1.0
-        ket = np.kron(ket_a, ket_b)
+    else:  # CSV, and COHERENT as the CSV input at r = 0
+        ket = np.kron(coherent_ket(spec.alpha, cutoff), squeezed_vacuum_ket(spec.r, cutoff))
     _check_leakage(float(ket @ ket))
     return ket / math.sqrt(float(ket @ ket))
 

@@ -54,12 +54,17 @@ def _wrap_angle(angle):
 class Observable:
     """A measured observable, with local-oscillator angles where relevant.
 
-    ``angle = 0`` measures ``X``, ``angle = pi/2`` measures ``P``.
+    ``angle = 0`` measures ``X``, ``angle = pi/2`` measures ``P``.  Both
+    angles are stored wrapped into ``[0, 2pi)``.
     """
 
     kind: ObservableKind
     angle_a: float = 0.0
     angle_b: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "angle_a", _wrap_angle(self.angle_a))
+        object.__setattr__(self, "angle_b", _wrap_angle(self.angle_b))
 
     @classmethod
     def parity(cls):
@@ -67,27 +72,19 @@ class Observable:
 
     @classmethod
     def quadrature(cls, angle):
-        return cls(ObservableKind.QUADRATURE_A, angle_a=_wrap_angle(angle))
+        return cls(ObservableKind.QUADRATURE_A, angle)
 
     @classmethod
     def quadrature_squared(cls, angle):
-        return cls(ObservableKind.QUADRATURE_SQUARED_A, angle_a=_wrap_angle(angle))
+        return cls(ObservableKind.QUADRATURE_SQUARED_A, angle)
 
     @classmethod
     def product(cls, angle_a, angle_b):
-        return cls(
-            ObservableKind.PRODUCT_QUAD_AB,
-            angle_a=_wrap_angle(angle_a),
-            angle_b=_wrap_angle(angle_b),
-        )
+        return cls(ObservableKind.PRODUCT_QUAD_AB, angle_a, angle_b)
 
     @classmethod
     def quadrature_sum(cls, angle_a, angle_b):
-        return cls(
-            ObservableKind.SUM_QUAD_AB,
-            angle_a=_wrap_angle(angle_a),
-            angle_b=_wrap_angle(angle_b),
-        )
+        return cls(ObservableKind.SUM_QUAD_AB, angle_a, angle_b)
 
 
 @dataclass(frozen=True)

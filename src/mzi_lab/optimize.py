@@ -463,12 +463,10 @@ def _measurement_optimum(scheme, resource, loss):
 
 def _fisher_information(resource, loss):
     """Closed-form Fisher information where one exists, else the moment formula."""
-    if resource.kind is not ResourceKind.COHERENT:
-        try:
-            return qfi_closed(resource, loss).qfi
-        except UnsupportedConfiguration:
-            pass
-    return qfi_numeric(resource, 0.0, loss).qfi
+    try:
+        return qfi_closed(resource, loss).qfi
+    except UnsupportedConfiguration:
+        return qfi_numeric(resource, 0.0, loss).qfi
 
 
 def _scan_mu(fn, points, tol):
@@ -567,7 +565,7 @@ def scheme_sensitivity(
     resource_kind: ResourceKind,
     nbar: float,
     loss: LossModel,
-    mu="optimize",
+    mu=None,
     mu_tol=1e-5,
     mu_seed=None,
     mu_stop_below=None,
@@ -576,7 +574,7 @@ def scheme_sensitivity(
 
     The phase (and, for the CSV double-homodyne scheme, both LO angles) is
     always optimized.  For CSV resources ``mu`` selects the squeezing
-    fraction: ``"optimize"`` searches it per call, a float pins it.  With
+    fraction: ``None`` searches it per call, a float pins it.  With
     ``mu_stop_below`` that search stops at the first fraction whose error is
     below it, so the point then shows only that the optimum is below it too;
     the QFI scheme's search ignores it.
@@ -597,7 +595,7 @@ def scheme_sensitivity(
 
     if resource_kind is not ResourceKind.CSV:
         return at(math.nan)
-    if mu != "optimize":
+    if mu is not None:
         return at(float(mu))
     if scheme is Scheme.QFI:
         return at(*optimal_csv_ratio(nbar, loss))

@@ -2,7 +2,7 @@
 
 The general route is the exact Gaussian moment formula on the state before
 the phase shifter; closed forms cover the lossless case and symmetric/one-arm
-loss for both resource families.
+loss for both resource families (a coherent input is the CSV input at r = 0).
 """
 
 from __future__ import annotations
@@ -159,9 +159,11 @@ def qfi_closed(resource: ResourceSpec, loss: LossModel) -> QfiResult:
     depends only on the phase-arm transmissivity.  CSV resources are covered
     for lossless, symmetric, and phase-arm-only loss; their output modes stay
     correlated, so no comparable closed form exists for loss in arm b alone.
+    A coherent resource is the CSV resource at ``r = 0``, where both CSV
+    forms reduce to ``2 nbar eta_a``.
 
     Raises:
-        UnsupportedConfiguration: for other resources or loss patterns.
+        UnsupportedConfiguration: for loss in arm b alone on a CSV or coherent resource.
         NumericFailure: if the formula divides by zero, overflows, or gives
             no finite positive information (a zero-energy input).
     """
@@ -171,14 +173,12 @@ def qfi_closed(resource: ResourceSpec, loss: LossModel) -> QfiResult:
         # squeezed vacua and only the phase-arm factor carries information,
         # so loss in arm b cannot change the bound: only eta_a enters.
         form, args = _qfi_tmsv, (resource.s, eta_a)
-    elif resource.kind is ResourceKind.CSV and eta_a == eta_b:
+    elif eta_a == eta_b:  # CSV, and COHERENT as the CSV input at r = 0
         form, args = _qfi_csv_symmetric, (resource.alpha, resource.r, eta_a)
-    elif resource.kind is ResourceKind.CSV and eta_b == 1.0:
+    elif eta_b == 1.0:
         form, args = _qfi_csv_one_arm, (resource.alpha, resource.r, eta_a)
-    elif resource.kind is ResourceKind.CSV:
-        raise UnsupportedConfiguration(f"no CSV closed form for {loss}")
     else:
-        raise UnsupportedConfiguration(f"no closed form for resource kind {resource.kind}")
+        raise UnsupportedConfiguration(f"no CSV closed form for {loss}")
     try:
         value = form(*args)
     except (ZeroDivisionError, OverflowError) as exc:

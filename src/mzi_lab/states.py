@@ -128,9 +128,9 @@ class ResourceSpec:
     ``CSV`` is a coherent state of amplitude ``alpha`` in mode a together
     with a single-mode squeezed vacuum of parameter ``r`` in mode b,
     ``TMSV`` a two-mode squeezed vacuum of parameter ``s``, ``COHERENT`` a
-    coherent state in mode a with vacuum in mode b.  All parameters are
-    real and non-negative; complex phases only rotate optimal observables
-    and are not modelled.
+    coherent state in mode a with vacuum in mode b: the CSV input at
+    ``r = 0``, and built as such.  All parameters are real and non-negative;
+    complex phases only rotate optimal observables and are not modelled.
     """
 
     kind: ResourceKind
@@ -176,11 +176,9 @@ class ResourceSpec:
     @property
     def nbar(self):
         """Mean photon number implied by the parameters."""
-        if self.kind is ResourceKind.CSV:
-            return self.alpha**2 + math.sinh(self.r) ** 2
         if self.kind is ResourceKind.TMSV:
             return 2.0 * math.sinh(self.s) ** 2
-        return self.alpha**2
+        return self.alpha**2 + math.sinh(self.r) ** 2
 
 
 def _squeezed_vacuum_cov(r):
@@ -197,14 +195,8 @@ def make_input(spec: ResourceSpec) -> GaussianState:
     Returns:
         The input :class:`GaussianState` before the first beam splitter.
     """
-    cov = np.eye(4) / 2.0
     mean = np.zeros(4)
-    if spec.kind is ResourceKind.CSV:
-        mean[X_A] = math.sqrt(2.0) * spec.alpha
-        cov[2:, 2:] = _squeezed_vacuum_cov(spec.r)
-    elif spec.kind is ResourceKind.COHERENT:
-        mean[X_A] = math.sqrt(2.0) * spec.alpha
-    else:
+    if spec.kind is ResourceKind.TMSV:
         ch, sh = math.cosh(2.0 * spec.s), math.sinh(2.0 * spec.s)
         cov = 0.5 * np.array(
             [
@@ -214,6 +206,11 @@ def make_input(spec: ResourceSpec) -> GaussianState:
                 [0.0, -sh, 0.0, ch],
             ]
         )
+        return GaussianState(cov, mean)
+    # CSV, and COHERENT as the CSV input at r = 0, whose squeezed-vacuum block is exactly I/2.
+    cov = np.eye(4) / 2.0
+    cov[2:, 2:] = _squeezed_vacuum_cov(spec.r)
+    mean[X_A] = math.sqrt(2.0) * spec.alpha
     return GaussianState(cov, mean)
 
 
@@ -274,12 +271,12 @@ def reduce_to_mode(state: GaussianState, mode: Mode) -> SingleModeState:
 def symmetric_moment(state: GaussianState, indices) -> float:
     """Symmetric-ordered quadrature moment ``<R_{i1} ... R_{ik}>_sym``.
 
-    Supports products of one, two or four quadratures.  The second-order
-    moment is ``gamma_ij + d_i d_j``; the fourth-order moment is the Wick
-    (Isserlis) expansion including first moments.  For mutually commuting
-    quadratures (e.g. ``X_a`` with ``X_b``, or repeated identical indices)
-    the symmetric-ordered moment equals the plain operator moment, which
-    covers every observable used by :mod:`mzi_lab.measurements`.
+    Supports products of one, two or four quadratures, by the Wick (Isserlis)
+    sum over pairings with first moments: the first index takes its mean
+    ``d_i`` or pairs with a later ``j`` through ``gamma_ij``, and so on.  For
+    mutually commuting quadratures (e.g. ``X_a`` with ``X_b``, or repeated
+    identical indices) the symmetric-ordered moment equals the plain operator
+    moment, which covers every observable used by :mod:`mzi_lab.measurements`.
 
     Args:
         state: two-mode Gaussian state.
@@ -292,25 +289,15 @@ def symmetric_moment(state: GaussianState, indices) -> float:
     idx = tuple(int(i) for i in indices)
     if any(i < 0 or i > 3 for i in idx):
         raise InvalidArgument(f"quadrature indices must lie in 0..3, got {idx}")
+    if len(idx) not in (1, 2, 4):
+        raise InvalidArgument(f"moments of order {len(idx)} are not supported (use 1, 2 or 4)")
     g, d = state.cov, state.mean
-    if len(idx) == 1:
-        return float(d[idx[0]])
-    if len(idx) == 2:
-        i, j = idx
-        return float(g[i, j] + d[i] * d[j])
-    if len(idx) == 4:
-        i, j, k, l = idx
-        pair_terms = (
-            g[i, j] * g[k, l] + g[i, k] * g[j, l] + g[i, l] * g[j, k]
-        )
-        mean_terms = (
-            g[i, j] * d[k] * d[l]
-            + g[i, k] * d[j] * d[l]
-            + g[i, l] * d[j] * d[k]
-            + g[j, k] * d[i] * d[l]
-            + g[j, l] * d[i] * d[k]
-            + g[k, l] * d[i] * d[j]
-        )
-        return float(pair_terms + mean_terms + d[i] * d[j] * d[k] * d[l])
-    raise InvalidArgument(f"moments of order {len(idx)} are not supported (use 1, 2 or 4)")
 
+    def moment(rest):
+        if not rest:
+            return 1.0
+        i, rest = rest[0], rest[1:]
+        pairs = (g[i, j] * moment(rest[:k] + rest[k + 1 :]) for k, j in enumerate(rest))
+        return sum(pairs, d[i] * moment(rest))
+
+    return float(moment(idx))

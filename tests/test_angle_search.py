@@ -312,6 +312,14 @@ def test_blind_start_returns_inf():
     assert _refine_sum_quad_angles(cov, dmean, ta, tb) == (ta, tb, math.inf)
 
 
+def test_a_step_that_cannot_lower_the_error_ends_at_the_start():
+    # A negative definite Hessian refuses the plain step; the shifted one and every halving of it land higher.
+    def local(ta, tb):
+        return (1.0 if (ta, tb) == (0.0, 0.0) else 2.0), 1.0, 0.0, -1.0, 0.0, -1.0
+
+    assert _newton_angles(local, 0.0, 0.0) == (0.0, 0.0, 1.0)
+
+
 @given(config=configurations, ta=angles, tb=angles)
 @settings(max_examples=200, deadline=None)
 def test_newton_never_ends_above_its_start(config, ta, tb):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mzi_lab import LossModel, optimal_csv_ratio
+from mzi_lab import cli
 from mzi_lab.cli import build_parser, figure_presets, main
 
 
@@ -128,6 +129,43 @@ class TestPoint:
             "--fixed-mu", "--mu", "0.25",
         )
         assert float(parse_csv(out)[0]["mu"]) == 0.25
+
+
+
+class TestOutTarget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["point", "--scheme", "qfi", "--resource", "tmsv"],
+            ["sweep", "--figure", "a1"],
+            ["threshold", "--scheme", "qfi", "--resource", "tmsv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_is_refused_before_any_computation(self, capsys, monkeypatch, tmp_path, argv):
+        def computed(*args, **kwargs):
+            raise AssertionError("the computation ran before --out was checked")
+
+        for name in ("run_sweep", "_chain", "snl_threshold"):
+            monkeypatch.setattr(cli, name, computed)
+        target = tmp_path / "missing" / "x.csv"
+        code = main(argv + ["--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write --out {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    def test_a_file_as_parent_is_not_a_directory(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "x.csv"
+        assert main(["point", "--scheme", "qfi", "--resource", "tmsv", "--out", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write --out {target}: Not a directory\n"
+
+    def test_existing_out_file_is_kept_when_the_computation_fails(self, capsys, tmp_path):
+        target = tmp_path / "rows.csv"
+        target.write_text("kept\n")
+        code = main(["point", "--scheme", "qfi", "--resource", "tmsv", "--nbar", "0", "--out", str(target)])
+        assert code == 2
+        assert target.read_text() == "kept\n"
 
 
 class TestSweep:

@@ -61,6 +61,21 @@ class TestInputStates:
             math.exp(-2 * r) / 2.0, rel=1e-9
         )
 
+    def test_kets_follow_their_closed_forms_and_are_the_vacuum_at_zero(self):
+        n = np.arange(20)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+        alpha, r = 1.3, 0.6
+        expected = np.exp(n * math.log(alpha) - 0.5 * log_fact - alpha**2 / 2.0)
+        assert fock.coherent_ket(alpha, 20) == pytest.approx(expected, rel=1e-13)
+        m = n[::2] // 2
+        log_weight = 0.5 * np.array([math.lgamma(2 * k + 1.0) for k in m]) - np.array([math.lgamma(k + 1.0) for k in m])
+        even = np.exp(log_weight + m * math.log(math.tanh(r) / 2.0)) / math.sqrt(math.cosh(r))
+        assert fock.squeezed_vacuum_ket(r, 20)[::2] == pytest.approx(even, rel=1e-13)
+        assert not fock.squeezed_vacuum_ket(r, 20)[1::2].any()
+        vacuum = np.eye(1, 9).ravel()
+        assert np.array_equal(fock.coherent_ket(0.0, 9), vacuum)
+        assert np.array_equal(fock.squeezed_vacuum_ket(0.0, 9), vacuum)
+
     def test_leakage_guard(self):
         with pytest.raises(CutoffTooSmall):
             fock.build_fock_input(ResourceSpec.tmsv(1.5), 12)
@@ -77,6 +92,13 @@ class TestInputStates:
         state = fock.build_fock_input(ResourceSpec.csv(0.7, 0.5), 30)
         assert np.trace(state.dm).real == pytest.approx(1.0, abs=1e-10)
         assert np.abs(state.dm - state.dm.conj().T).max() < 1e-12
+
+
+class TestUhlmannFidelity:
+    def test_mismatched_cutoffs_are_refused(self):
+        spec = ResourceSpec.coherent(0.1)
+        with pytest.raises(InvalidArgument, match="different cutoffs"):
+            fock.uhlmann_fidelity(fock.build_fock_input(spec, 6), fock.build_fock_input(spec, 8))
 
 
 class TestChannels:

@@ -12,7 +12,9 @@ from mzi_lab import (
     GaussianState,
     InterferometerConfig,
     LossModel,
+    NumericFailure,
     Observable,
+    ObservableKind,
     ResourceKind,
     ResourceSpec,
     SingleModeState,
@@ -44,6 +46,25 @@ class TestParityExpectation:
         nbar = 1.7
         state = single_mode((2.0 * nbar + 1.0) * np.eye(2) / 2.0, [0.0, 0.0])
         assert parity_expectation(state) == pytest.approx(1.0 / (2.0 * nbar + 1.0), rel=1e-12)
+
+    def test_non_positive_determinant_is_a_numeric_failure(self):
+        with pytest.raises(NumericFailure, match="determinant"):
+            parity_expectation(single_mode(np.zeros((2, 2)), [0.0, 0.0]))
+
+
+class TestObservable:
+    @pytest.mark.parametrize(
+        "angle_a, angle_b", [(0.3, 1.2), (-0.4, -2.0), (2.0 * math.pi, 7.5), (-1e-17, 4.0 * math.pi + 0.1)]
+    )
+    def test_constructor_wraps_both_angles_like_the_classmethods(self, angle_a, angle_b):
+        kind = ObservableKind
+        assert Observable(kind.QUADRATURE_A, angle_a) == Observable.quadrature(angle_a)
+        assert Observable(kind.QUADRATURE_SQUARED_A, angle_a) == Observable.quadrature_squared(angle_a)
+        assert Observable(kind.PRODUCT_QUAD_AB, angle_a, angle_b) == Observable.product(angle_a, angle_b)
+        obs = Observable(kind.SUM_QUAD_AB, angle_a, angle_b)
+        assert obs == Observable.quadrature_sum(angle_a, angle_b)
+        assert 0.0 <= obs.angle_a < 2.0 * math.pi and 0.0 <= obs.angle_b < 2.0 * math.pi
+        assert Observable(kind.PARITY_A) == Observable.parity()
 
 
 class TestMomentExpansions:

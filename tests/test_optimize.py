@@ -59,6 +59,28 @@ class TestGoldenSection:
         assert x == pytest.approx(0.3, abs=1e-15)
         assert calls < 100
 
+
+class TestParabolaPolish:
+    def test_narrow_basin_is_refit_with_a_smaller_stencil(self):
+        # The quadratic region of 1e-8 + t² is 1e-4 wide, no wider than the default stencil,
+        # so the cubic term biases the first fit and a second fit at a smaller offset follows.
+        vertex, calls = 0.3, []
+
+        def fn(x):
+            calls.append(x)
+            t = x - vertex
+            return 1e-8 + t * t + 30.0 * t**3
+
+        x, f = optimize._parabola_polish(fn, vertex + 3e-5, fn(vertex + 3e-5))
+        stencils = [calls[i : i + 3] for i in range(1, len(calls), 3)]
+        steps = [(hi - lo) / 2.0 for lo, hi, _ in stencils]
+        assert len(steps) == 2
+        assert steps[0] == pytest.approx(optimize._POLISH_STEP, rel=1e-6)
+        assert steps[1] < 0.8 * steps[0]
+        first_fit = optimize._fit_parabola(fn, vertex + 3e-5, optimize._POLISH_STEP)[0]
+        assert abs(x - vertex) < 1e-9 < abs(first_fit - vertex)
+        assert f == pytest.approx(1e-8, rel=1e-5)
+
     def test_zero_mu_tolerance_ends(self, monkeypatch):
         calls = 0
         measurement_optimum = optimize._measurement_optimum
@@ -226,6 +248,13 @@ class TestSchemeSensitivity:
         fixed = scheme_sensitivity(Scheme.QFI, ResourceKind.CSV, 5.0, loss, mu=optimized.mu)
         assert fixed.mu == optimized.mu
         assert fixed.delta2phi == pytest.approx(optimized.delta2phi, rel=1e-12)
+
+    def test_mu_none_searches_and_a_float_pins(self):
+        loss = LossModel.symmetric(0.8)
+        searched = scheme_sensitivity(Scheme.SINGLE_HD, ResourceKind.CSV, 5.0, loss, mu=None)
+        assert searched == scheme_sensitivity(Scheme.SINGLE_HD, ResourceKind.CSV, 5.0, loss)
+        assert 0.0 < searched.mu < 1.0
+        assert scheme_sensitivity(Scheme.SINGLE_HD, ResourceKind.CSV, 5.0, loss, mu=searched.mu) == searched
 
     def test_parity_blind_at_every_phase_is_no_optimum(self):
         with pytest.raises(NoOptimum, match="^observable is blind at every phase on the grid$"):

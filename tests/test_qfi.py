@@ -70,6 +70,11 @@ class TestBuresFidelity:
         s2 = output_state(InterferometerConfig(resource, 0.4 + 1e-3, LossModel.lossless()))
         assert bures_fidelity(s1, s2) < 1.0
 
+    def test_singular_covariance_sum_is_a_numeric_failure(self):
+        zero = GaussianState(np.zeros((4, 4)), np.zeros(4))
+        with pytest.raises(NumericFailure, match="singular"):
+            bures_fidelity(zero, zero)
+
 
 class TestLosslessQfi:
     @pytest.mark.parametrize("nbar", [1.0, 7.0, 10.0])
@@ -220,9 +225,18 @@ class TestClosedForms:
         values = [qfi_closed(csv, LossModel.one_arm(eta)).qfi for eta in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, math.sqrt(10.0)])
+    @pytest.mark.parametrize(
+        "loss", [LossModel.lossless(), LossModel.symmetric(0.7), LossModel.one_arm(0.8)], ids=repr
+    )
+    def test_coherent_takes_the_csv_forms_at_zero_squeezing(self, alpha, loss):
+        # Both CSV forms reduce to 2 alpha² eta_a at r = 0.
+        resource = ResourceSpec.coherent(alpha)
+        closed = qfi_closed(resource, loss).qfi
+        assert closed == pytest.approx(2.0 * alpha**2 * loss.eta_a, rel=1e-15)
+        assert qfi_numeric(resource, 0.3, loss).qfi == pytest.approx(closed, rel=1e-12)
+
     def test_unsupported_configurations(self):
-        with pytest.raises(UnsupportedConfiguration):
-            qfi_closed(ResourceSpec.coherent(1.0), LossModel.lossless())
         with pytest.raises(UnsupportedConfiguration):
             qfi_closed(ResourceSpec.csv(1.0, 0.5), LossModel(1.0, 0.7))
         with pytest.raises(UnsupportedConfiguration):

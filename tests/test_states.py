@@ -69,6 +69,39 @@ class TestConstructors:
             assert photon_number(make_input(spec)) == pytest.approx(8.5, rel=1e-12)
 
 
+class TestCoherentIsCsvAtZeroSqueezing:
+    """A coherent resource is built as the CSV resource at r = 0, in every layer that builds a state."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, math.sqrt(7.0)])
+    def test_same_state_energy_and_fock_factor_bit_for_bit(self, alpha):
+        coherent, csv = ResourceSpec.coherent(alpha), ResourceSpec.csv(alpha, 0.0)
+        gauss_coherent, gauss_csv = make_input(coherent), make_input(csv)
+        assert np.array_equal(gauss_coherent.cov, gauss_csv.cov)
+        assert np.array_equal(gauss_coherent.mean, gauss_csv.mean)
+        assert coherent.nbar == csv.nbar
+        factor_coherent = fock.build_fock_input(coherent, 40).factor
+        assert np.array_equal(factor_coherent, fock.build_fock_input(csv, 40).factor)
+
+
+class TestGaussianStateChecks:
+    @pytest.mark.parametrize("cov, mean", [(np.eye(3) / 2.0, np.zeros(3)), (np.eye(4) / 2.0, np.zeros(3))])
+    def test_wrong_shapes_are_rejected(self, cov, mean):
+        with pytest.raises(InvalidArgument, match="4x4 covariance"):
+            GaussianState(cov, mean)
+
+    def test_asymmetric_covariance_is_rejected(self):
+        cov = np.eye(4) / 2.0
+        cov[0, 1] = 1e-6
+        with pytest.raises(InvalidArgument, match="not symmetric"):
+            GaussianState(cov, np.zeros(4))
+
+    def test_roundoff_asymmetry_is_averaged_away(self):
+        cov = np.eye(4) / 2.0
+        cov[0, 1] = 1e-14
+        state = GaussianState(cov, np.zeros(4))
+        assert state.cov[0, 1] == state.cov[1, 0] == 5e-15
+
+
 class TestMeanPhotonNumber:
     def test_csv_formula(self):
         state = make_input(ResourceSpec.csv(1.3, 0.8))
@@ -235,6 +268,20 @@ class TestSymmetricMoment:
         state = GaussianState(state.cov, np.zeros(4))
         expected = 3.0 * state.cov[0, 0] ** 2
         assert symmetric_moment(state, (0, 0, 0, 0)) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("indices", [(0, 1, 2, 3), (0, 0, 2, 2), (1, 1, 1, 1), (3, 0, 3, 1)])
+    def test_fourth_moment_matches_the_written_out_wick_sum(self, rng, indices):
+        i, j, k, l = indices
+        for _ in range(3):
+            state = random_physical_state(rng, max_squeeze=0.6, max_mean=0.8)
+            g, d = state.cov, state.mean
+            pairs = g[i, j] * g[k, l] + g[i, k] * g[j, l] + g[i, l] * g[j, k]
+            with_means = (
+                g[i, j] * d[k] * d[l] + g[i, k] * d[j] * d[l] + g[i, l] * d[j] * d[k]
+                + g[j, k] * d[i] * d[l] + g[j, l] * d[i] * d[k] + g[k, l] * d[i] * d[j]
+            )
+            expected = pairs + with_means + d[i] * d[j] * d[k] * d[l]
+            assert symmetric_moment(state, indices) == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
     def test_unsupported_length(self):
         with pytest.raises(InvalidArgument):
