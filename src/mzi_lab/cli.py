@@ -151,11 +151,6 @@ def _cmd_point(args):
 
 
 def _cmd_sweep(args):
-    raw_threads = os.environ.get("MZI_LAB_THREADS", "1")
-    try:
-        threads = max(1, int(raw_threads))
-    except ValueError:
-        raise InvalidArgument(f"MZI_LAB_THREADS must be an integer, got {raw_threads!r}") from None
     if args.figure is not None:
         specs = figure_presets()[args.figure]
     else:
@@ -175,7 +170,7 @@ def _cmd_sweep(args):
                 optimize_mu=not args.fixed_mu,
             )
         ]
-    rows = [vars(row) for spec in specs for row in run_sweep(spec, threads=threads)]
+    rows = [vars(row) for spec in specs for row in run_sweep(spec)]
     emit(rows, _SWEEP_FIELDS, args.format, args.out)
     return 0
 

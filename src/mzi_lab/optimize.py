@@ -13,7 +13,6 @@ variance, while a parabola fitted a safe distance away recovers the limit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -484,6 +483,9 @@ def _scan_mu(fn, points, tol):
 def optimal_csv_ratio(nbar, loss: LossModel):
     """Squeezed-vacuum energy fraction maximizing the CSV Fisher information.
 
+    Golden section never probes the ends mu = 0 and 1, so they compete with
+    its refined optimum; an exact tie keeps the refined one.
+
     Returns:
         Tuple ``(mu_star, qfi)`` with ``mu_star`` in [0, 1].
     """
@@ -494,7 +496,8 @@ def optimal_csv_ratio(nbar, loss: LossModel):
         resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, min(max(mu, 0.0), 1.0))
         return -_fisher_information(resource, loss)
 
-    mu_star, neg = _scan_mu(negative_qfi, 33, 1e-6)
+    candidates = [_scan_mu(negative_qfi, 33, 1e-6), *((end, negative_qfi(end)) for end in (0.0, 1.0))]
+    mu_star, neg = min(candidates, key=lambda candidate: candidate[1])
     return mu_star, -neg
 
 
@@ -740,8 +743,7 @@ class SweepVariable(Enum):
 class SweepSpec:
     """Grid description for a figure-style sweep.
 
-    One row is produced per (grid value, scheme, resource) triple, in that
-    order, regardless of how rows are evaluated.
+    One row is produced per (grid value, scheme, resource) triple, in that order.
     """
 
     variable: SweepVariable
@@ -790,20 +792,28 @@ def _sweep_row(variable, value, scheme, kind, nbar, loss_kind, loss_rate, benchm
     )
 
 
-#: Grid points per evaluation chunk.  Warm starts for the CSV squeezing
-#: fraction never cross a chunk boundary, so results are independent of how
-#: chunks are distributed over workers.
+#: Grid points per warm-start chain.  Chains restart cold at each chunk only to keep
+#: the emitted rows byte-identical until sweep rows no longer carry warm starts.
 _SWEEP_CHUNK = 16
 
 
-def _sweep_chunk(spec: SweepSpec, values):
+def run_sweep(spec: SweepSpec):
+    """Evaluate every (grid value, scheme, resource) cell of a sweep.
+
+    Rows are returned in (grid index, scheme, resource) order.  Per-row
+    failures (degenerate observables, unsupported combinations) are recorded
+    in the row's ``status`` instead of aborting the sweep.  Each (scheme,
+    resource) pair keeps one warm-started chain, rebuilt cold at every
+    ``_SWEEP_CHUNK``-th grid index.
+    """
     rows = []
-    chains = {
-        (scheme, kind): _chain(scheme, kind, spec.optimize_mu, mu_tol=1e-3)
-        for scheme in spec.schemes
-        for kind in spec.resources
-    }
-    for value in values:
+    for index, value in enumerate(np.linspace(spec.lo, spec.hi, spec.points)):
+        if index % _SWEEP_CHUNK == 0:
+            chains = {
+                (scheme, kind): _chain(scheme, kind, spec.optimize_mu, mu_tol=1e-3)
+                for scheme in spec.schemes
+                for kind in spec.resources
+            }
         if spec.variable is SweepVariable.LOSS_RATE:
             nbar, loss_rate = spec.nbar, float(value)
         else:
@@ -822,28 +832,3 @@ def _sweep_chunk(spec: SweepSpec, values):
                     point, status,
                 ))
     return rows
-
-
-def run_sweep(spec: SweepSpec, threads: int = 1):
-    """Evaluate every (grid value, scheme, resource) cell of a sweep.
-
-    Rows are returned in (grid index, scheme, resource) order.  Per-row
-    failures (degenerate observables, unsupported combinations) are recorded
-    in the row's ``status`` instead of aborting the sweep.  When ``threads``
-    exceeds one, fixed-size chunks of the grid are evaluated in worker
-    processes, at most one per chunk and per CPU this process may use;
-    chunk boundaries do not depend on the worker count, so the output is
-    identical however the work is distributed.
-    """
-    grid = np.linspace(spec.lo, spec.hi, spec.points)
-    chunks = [grid[i : i + _SWEEP_CHUNK] for i in range(0, len(grid), _SWEEP_CHUNK)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(threads, len(chunks), cpus)
-    if workers <= 1:
-        parts = [_sweep_chunk(spec, chunk) for chunk in chunks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_chunk, [spec] * len(chunks), chunks))
-    return [row for part in parts for row in part]

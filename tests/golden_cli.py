@@ -9,9 +9,8 @@ number regenerates the files and shows the move as a diff::
 
     PYTHONPATH=src python tests/golden_cli.py
 
-``COLUMNS`` is pinned, so argparse wraps ``--help`` the same on every terminal,
-and ``MZI_LAB_THREADS`` is unset, so each sweep runs in one process.  The
-presets and the threshold table, about 20 s of CPU time, are spread over two
+``COLUMNS`` is pinned, so argparse wraps ``--help`` the same on every terminal.
+The presets and the threshold table, about 20 s of CPU time, are spread over two
 worker processes; their output does not depend on which worker runs them.
 """
 
@@ -151,7 +150,6 @@ def table_paths():
 
 def main():
     os.environ["COLUMNS"] = COLUMNS
-    os.environ.pop("MZI_LAB_THREADS", None)
     (GOLDEN / "figures").mkdir(parents=True, exist_ok=True)
     stale = set(GOLDEN.glob("*.txt")) | set(table_paths())
     for argv in INVOCATIONS:

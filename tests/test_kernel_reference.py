@@ -1,13 +1,13 @@
 """The Gaussian kernel against an independent scalar reference.
 
-Every production path runs through ``output_grid`` and the grid observables
-of :mod:`mzi_lab.measurements`, so comparing a scalar entry point with the
-grid compares the kernel with itself.  The reference below is built only
-from the state-level building blocks instead: the pipeline is composed from
-``make_input``, ``beam_splitter``, ``apply_symplectic``, ``apply_loss`` and
-a mode-a rotation; quadrature moments come from a mode rotation and
-``symmetric_moment``; parity from the 2x2 Wigner formula; and the slope is a
-Richardson-refined central difference of the reference signal.
+Parity and ``output_state`` run through ``output_grid``, so comparing one of
+their scalar entry points with the grid compares the kernel with itself.  The
+reference below is built only from the state-level building blocks instead:
+the pipeline is composed from ``make_input``, ``beam_splitter``,
+``apply_symplectic``, ``apply_loss`` and a mode-a rotation; quadrature
+moments come from a mode rotation and ``symmetric_moment``; parity from the
+2x2 Wigner formula; and the slope is a Richardson-refined central difference
+of the reference signal.
 
 The quadrature observables take their moments and exact slopes from
 ``phase_coefficients``: these are checked against ``output_grid`` and against

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
@@ -220,13 +221,23 @@ _FAULT_PROBE = textwrap.dedent(
 
 
 def minor_faults_per_op(scheme, kind, nbars):
-    """Minor page faults per ``scheme_sensitivity`` call after a warm-up call, in a fresh interpreter."""
+    """Minor page faults per ``scheme_sensitivity`` call after a warm-up call, in a fresh interpreter.
+
+    The interpreter reads and writes no bytecode cache (an empty ``PYTHONPYCACHEPREFIX``), so it
+    compiles every module from source and its heap starts the same whatever ``.pyc`` files exist.
+    """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = _FAULT_PROBE.format(scheme=scheme, kind=kind, nbars=nbars)
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120, check=True
-    )
+    with tempfile.TemporaryDirectory() as pycache:
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            PYTHONPYCACHEPREFIX=pycache,
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
     return float(proc.stdout)
 
 
