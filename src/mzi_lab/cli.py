@@ -234,16 +234,19 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    def add_config(p):
-        p.add_argument("--scheme", choices=_names(Scheme), required=True)
-        p.add_argument("--resource", choices=_names(ResourceKind), required=True)
-        p.add_argument("--nbar", type=float, default=10.0)
+    def add_loss(p):
         p.add_argument("--loss", choices=_names(LossKind), default="symmetric")
         p.add_argument(
             "--fixed-mu",
             action="store_true",
             help="pin the CSV squeezing fraction at its lossless optimum instead of re-optimizing per point",
         )
+
+    def add_config(p):
+        p.add_argument("--scheme", choices=_names(Scheme), required=True)
+        p.add_argument("--resource", choices=_names(ResourceKind), required=True)
+        p.add_argument("--nbar", type=float, default=10.0)
+        add_loss(p)
 
     p_point = sub.add_parser("point", help="one optimized sensitivity evaluation")
     add_config(p_point)
@@ -264,8 +267,7 @@ def build_parser():
     )
     p_sweep.add_argument("--nbar", type=float, default=10.0, help="fixed energy for loss sweeps")
     p_sweep.add_argument("--rate", type=float, default=0.0, help="fixed loss rate for nbar sweeps")
-    p_sweep.add_argument("--loss", choices=_names(LossKind), default="symmetric")
-    p_sweep.add_argument("--fixed-mu", action="store_true")
+    add_loss(p_sweep)
     add_io(p_sweep)
     p_sweep.set_defaults(fn=_cmd_sweep)
 

@@ -92,15 +92,18 @@ def _post_loss_cov_mean(resource: ResourceSpec, loss: LossModel):
     return state.cov, state.mean
 
 
-_B2 = beam_splitter(-math.pi / 4.0)
+# B2·R(φ) = P0 + cos φ·P1 + sin φ·P2, as the phase rotates mode a only; _J is the phase shifter's generator.
+_J = np.diag([1.0, 0.0, 0.0], 1) - np.diag([1.0, 0.0, 0.0], -1)
+_POST = beam_splitter(-math.pi / 4.0) @ [np.diag([0.0, 0.0, 1.0, 1.0]), np.diag([1.0, 1.0, 0.0, 0.0]), _J]
 
 
 def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     """Output covariances and means for an array of phases.
 
-    Every scalar entry point is a grid of one phase, and
-    :func:`phase_coefficients` expands the same composition in the phase.
-    Each phase's result does not depend on the other phases in the batch.
+    Every scalar entry point is a grid of one phase, and no phase's result
+    depends on the others in the batch.  B2·R(φ) comes from the same
+    ``_POST`` as in :func:`phase_coefficients`; only the evaluation order
+    differs, and parity's stencil stays on this grid to keep its digits.
 
     Args:
         resource: input resource.
@@ -112,28 +115,17 @@ def output_grid(resource: ResourceSpec, loss: LossModel, phis):
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     cov_l, mean_l = _post_loss_cov_mean(resource, loss)
-    c, s = np.cos(phis), np.sin(phis)
-    n = phis.shape[0]
-    rot = np.zeros((n, 4, 4))
-    rot[:, 0, 0] = c
-    rot[:, 0, 1] = s
-    rot[:, 1, 0] = -s
-    rot[:, 1, 1] = c
-    rot[:, 2, 2] = 1.0
-    rot[:, 3, 3] = 1.0
     # Three (n, 4, 4) buffers in all: each is reused once it is consumed.
-    post = np.matmul(_B2, rot)
+    post = np.multiply.outer(np.cos(phis), _POST[1])
+    full = np.multiply.outer(np.sin(phis), _POST[2])
+    post += full
+    post += _POST[0]
     half = np.matmul(post, cov_l)
-    full = np.matmul(half, np.transpose(post, (0, 2, 1)), out=rot)
+    np.matmul(half, np.transpose(post, (0, 2, 1)), out=full)
     covs = np.add(full, np.transpose(full, (0, 2, 1)), out=half)
     covs /= 2.0
     means = np.einsum("nij,j->ni", post, mean_l)
     return covs, means
-
-
-# B2·R(φ) = P0 + cos φ·P1 + sin φ·P2, as the phase rotates mode a only; _J is the phase shifter's generator.
-_J = np.diag([1.0, 0.0, 0.0], 1) - np.diag([1.0, 0.0, 0.0], -1)
-_POST = _B2 @ [np.diag([0.0, 0.0, 1.0, 1.0]), np.diag([1.0, 1.0, 0.0, 0.0]), _J]
 
 
 def phase_coefficients(resource: ResourceSpec, loss: LossModel):

@@ -132,8 +132,6 @@ def _parabola_polish(fn, x0, f0):
         fit = _fit_parabola(fn, best_x, h)
         if fit is None:
             h /= 4.0
-            if h < 1e-6:
-                break
             continue
         best_x, best_f, alpha = fit
         if best_f <= 0.0:
@@ -470,14 +468,13 @@ def _fisher_information(resource, loss):
 
 def _scan_mu(fn, points, tol):
     """``(mu, value)`` minimizing ``fn`` over a grid of ``points`` fractions in [0, 1], then by golden
-    section between the best cell's neighbours, clamped to [0, 1]; a grid with no finite value is not refined."""
+    section between the best cell's neighbours; a grid with no finite value is not refined."""
     grid = np.linspace(0.0, 1.0, points).tolist()  # Python floats: a probe's mu may be emitted
     values = [fn(m) for m in grid]
     i = int(np.argmin(values))
     if not math.isfinite(values[i]):
         return grid[i], values[i]
-    mu, value = golden_section(fn, grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], tol)
-    return min(max(mu, 0.0), 1.0), value
+    return golden_section(fn, grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], tol)
 
 
 def optimal_csv_ratio(nbar, loss: LossModel):
@@ -493,7 +490,7 @@ def optimal_csv_ratio(nbar, loss: LossModel):
         raise InvalidArgument(f"nbar must be > 0, got {nbar}")
 
     def negative_qfi(mu):
-        resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, min(max(mu, 0.0), 1.0))
+        resource = ResourceSpec.from_energy(ResourceKind.CSV, nbar, mu)
         return -_fisher_information(resource, loss)
 
     candidates = [_scan_mu(negative_qfi, 33, 1e-6), *((end, negative_qfi(end)) for end in (0.0, 1.0))]
@@ -549,7 +546,7 @@ def _minimize_over_mu(value_fn, tol=1e-5, seed=None, stop_below=None):
             stuck_low = mu - lo < 5e-3 and lo > 0.0
             stuck_high = hi - mu < 5e-3 and hi < 1.0
             if math.isfinite(value) and not (stuck_low or stuck_high):
-                return min(max(mu, 0.0), 1.0), value
+                return mu, value
         mu, value = _scan_mu(fn, 21, tol)
     except _BelowTarget as hit:
         return hit.args

@@ -243,9 +243,8 @@ def minor_faults_per_op(scheme, kind, nbars):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mmap threshold is Linux behaviour")
 def test_phase_scan_reuses_heap_memory():
-    # A 720-phase scan is 3,600 stencil phases; as one output_grid call its
-    # temporaries exceed glibc's mmap threshold, and every scan then maps
-    # and unmaps fresh pages (about 400 minor faults per point).
+    # Single homodyne takes its phase optimum from the phase coefficients,
+    # with no phase scan; a repeated point must still map no fresh pages.
     assert minor_faults_per_op("SINGLE_HD", "TMSV", [5.0] * 10) < 50.0
 
 

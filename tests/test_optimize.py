@@ -57,6 +57,33 @@ class TestGoldenSection:
         assert x == pytest.approx(0.3, abs=1e-15)
         assert calls < 100
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(0.0, 1.0),
+        span=st.one_of(st.integers(0, 6), st.floats(0.0, 1.0)),  # ulps, or a fraction of [lo, 1]
+        tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+        where=st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-1.0, 2.0)),
+    )
+    def test_returns_a_probe_inside_the_bracket(self, lo, span, tol, where):
+        # The squeezing-fraction searches rely on this: with brackets inside [0, 1], every mu they
+        # return or probe lies in [0, 1], whether the minimum is inside, at or beyond an edge.
+        hi = lo
+        if isinstance(span, int):
+            for _ in range(span):
+                hi = min(math.nextafter(hi, 2.0), 1.0)
+        else:
+            hi = min(lo + span * (1.0 - lo), 1.0)
+        target = lo + where * (hi - lo)
+        probes = []
+
+        def fn(x):
+            probes.append(x)
+            return (x - target) ** 2
+
+        x, f = golden_section(fn, lo, hi, tol)
+        assert lo <= x <= hi and f == fn(x)
+        assert all(lo <= p <= hi for p in probes)
+
 
 class TestParabolaPolish:
     def test_narrow_basin_is_refit_with_a_smaller_stencil(self):
@@ -226,9 +253,12 @@ class TestSchemeSensitivity:
         expected = 1.0 / (2.0 * 0.64 * math.sinh(2 * math.asinh(math.sqrt(5.0))) ** 2 / (1.0 + 2.0 * 0.8 * 0.2 * 5.0))
         assert point.delta2phi == pytest.approx(expected, rel=1e-12)
 
-    def test_parity_lossless_matches_closed_form(self):
-        point = scheme_sensitivity(Scheme.PARITY, ResourceKind.TMSV, 10.0, LossModel.lossless())
-        assert point.delta2phi == pytest.approx(1.0 / 120.0, rel=1e-6)
+    # At n̄ = 1000 the phase basin is narrower than the polish's default stencil, and only its
+    # re-fit at a smaller offset reaches the closed form (one fit alone reads 3.8e-4 low).
+    @pytest.mark.parametrize("nbar, rel", [(10.0, 1e-6), (1000.0, 1e-5)])
+    def test_parity_lossless_matches_closed_form(self, nbar, rel):
+        point = scheme_sensitivity(Scheme.PARITY, ResourceKind.TMSV, nbar, LossModel.lossless())
+        assert point.delta2phi == pytest.approx(1.0 / (nbar * (nbar + 2.0)), rel=rel)
 
     def test_fixed_mu(self):
         point = scheme_sensitivity(
@@ -374,6 +404,16 @@ def recorded(fn):
 
 def basin(mu):
     return 1.0 + (mu - 0.37) ** 2
+
+
+@pytest.mark.parametrize("seed", [None, 0.0, 0.03, 0.97, 1.0])
+@pytest.mark.parametrize("vertex", [-0.5, 1.5])
+def test_falling_past_an_end_stays_in_the_unit_interval(seed, vertex):
+    # The objective is finite everywhere, so only the search's brackets keep mu in [0, 1].
+    fn, probes = recorded(lambda mu: (mu - vertex) ** 2)
+    mu, value = _minimize_over_mu(fn, seed=seed)
+    assert 0.0 <= mu <= 1.0 and value == (mu - vertex) ** 2
+    assert all(0.0 <= probe <= 1.0 for probe, _ in probes)
 
 
 class TestMuSearchTarget:
